@@ -8,7 +8,7 @@ import sys
 
 from . import oracle
 from .consistency import disc_violations, make_contradiction_spec
-from .errors import NegsetError, UniverseTooLarge, UnknownFixture, UnknownLaw
+from .errors import NegsetError, SizeOutOfRange, UniverseTooLarge, UnknownFixture, UnknownLaw
 from .session import (
     Let,
     ParseError,
@@ -62,7 +62,6 @@ def cmd_check(path: str, as_json: bool, out=None, err=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE
-    spec = script.contradiction_spec()
     ungated = make_contradiction_spec(script.universe)  # no relations: raw algebra
     env = {name: value for name, value in script.agents}
     named = [(name, value) for name, value in script.agents]
@@ -74,7 +73,7 @@ def cmd_check(path: str, as_json: bool, out=None, err=None) -> int:
     entries = []
     all_ok = True
     for name, value in named:
-        violations = disc_violations(value, spec)
+        violations = disc_violations(value, script.spec)
         all_ok &= not violations
         entries.append((name, value, violations))
     if as_json:
@@ -154,7 +153,7 @@ def cmd_laws(
             reports.append(
                 oracle.check_law(law_id, n, limit=limit, allow_over_cap=unsafe_size)
             )
-    except (UnknownLaw, UniverseTooLarge) as exc:
+    except (UnknownLaw, SizeOutOfRange, UniverseTooLarge) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
     fixtures = [oracle.verify_fixture(fid) for fid in oracle.fixture_ids()] if run_all else []

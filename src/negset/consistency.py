@@ -10,9 +10,10 @@ policies here decide what happens then.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
-from .core import FiniteSet, NegotiationSet, Universe, odot
+from .core import FiniteSet, NegotiationSet, Universe, iter_bits, odot
 from .errors import (
     DominanceNotStrictOrder,
     InputNotDisc,
@@ -38,6 +39,17 @@ class ContradictionSpec:
     strong: frozenset[tuple[int, int]]
     weak: frozenset[tuple[int, int]]
     dominance: frozenset[tuple[int, int]] = frozenset()
+
+    # Neighbour masks for DISC scans, built on the first scan rather than at
+    # construction: a script's spec is built while the parser still holds its
+    # tokens, and the masks would add to that peak.
+    @cached_property
+    def _strong_masks(self) -> tuple[int, dict[int, int]]:
+        return _neighbour_masks(self.strong)
+
+    @cached_property
+    def _weak_masks(self) -> tuple[int, dict[int, int]]:
+        return _neighbour_masks(self.weak)
 
     def pair_names(self, pair: tuple[int, int]) -> tuple[str, str]:
         return self.universe.objects[pair[0]], self.universe.objects[pair[1]]
@@ -83,13 +95,24 @@ def make_contradiction_spec(
             raise DominanceNotStrictOrder(
                 f"({universe.objects[i]}, {universe.objects[j]}) declared in both directions"
             )
+    # transitive iff every edge i -> j has out[j] within out[i]
+    _, out = _neighbour_masks(dom)
     for i, j in dom:
-        for k, l in dom:
-            if j == k and (i, l) not in dom:
-                raise DominanceNotStrictOrder(
-                    f"missing transitive pair ({universe.objects[i]}, {universe.objects[l]})"
-                )
+        missing = out.get(j, 0) & ~out[i]
+        if missing:
+            l = next(l for k, l in dom if k == j and missing >> l & 1)
+            raise DominanceNotStrictOrder(
+                f"missing transitive pair ({universe.objects[i]}, {universe.objects[l]})"
+            )
     return ContradictionSpec(universe, strong, weak, frozenset(dom))
+
+
+def _neighbour_masks(pairs: Iterable[tuple[int, int]]) -> tuple[int, dict[int, int]]:
+    """For pairs (i, j): the mask of every i, and per i the mask of its partners j."""
+    masks: dict[int, int] = {}
+    for i, j in pairs:
+        masks[i] = masks.get(i, 0) | 1 << j
+    return sum(1 << i for i in masks), masks
 
 
 @dataclass(frozen=True)
@@ -101,23 +124,34 @@ class DiscViolation:
         return f"{self.kind} ({self.pair[0]}, {self.pair[1]})"
 
 
-def disc_violations(a: NegotiationSet, spec: ContradictionSpec) -> list[DiscViolation]:
-    """Every offending pair, exactly once, in deterministic index order."""
+def _offending_pairs(
+    a: NegotiationSet, spec: ContradictionSpec
+) -> Iterator[tuple[str, int, int]]:
+    """(kind, i, j) per offending pair: strong ones, then weak ones, each by ascending (i, j)."""
     if a.universe != spec.universe:
         raise UniverseMismatch("set and contradiction spec over different universes")
     nec, adm = a.necessity.mask, a.admissibility.mask
-    out = []
-    for i, j in sorted(spec.strong):
-        if adm >> i & 1 and adm >> j & 1:
-            out.append(DiscViolation(STRONG_IN_ADMISSIBILITY, spec.pair_names((i, j))))
-    for i, j in sorted(spec.weak):
-        if adm >> i & 1 and adm >> j & 1 and (nec >> i & 1 or nec >> j & 1):
-            out.append(DiscViolation(WEAK_WITH_NECESSITY, spec.pair_names((i, j))))
-    return out
+    rows, partners_of = spec._strong_masks
+    for i in iter_bits(adm & rows):
+        for j in iter_bits(partners_of[i] & adm):
+            yield STRONG_IN_ADMISSIBILITY, i, j
+    rows, partners_of = spec._weak_masks
+    for i in iter_bits(adm & rows):
+        partners = partners_of[i] & adm
+        for j in iter_bits(partners if nec >> i & 1 else partners & nec):
+            yield WEAK_WITH_NECESSITY, i, j
+
+
+def disc_violations(a: NegotiationSet, spec: ContradictionSpec) -> list[DiscViolation]:
+    """Every offending pair, exactly once, in deterministic index order."""
+    return [
+        DiscViolation(kind, spec.pair_names((i, j)))
+        for kind, i, j in _offending_pairs(a, spec)
+    ]
 
 
 def is_disc(a: NegotiationSet, spec: ContradictionSpec) -> bool:
-    return not disc_violations(a, spec)
+    return next(_offending_pairs(a, spec), None) is None
 
 
 # --- resolution policies ---

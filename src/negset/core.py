@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -22,6 +23,25 @@ from .errors import (
     UniverseMismatch,
     UnknownObject,
 )
+
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative ``mask``, ascending."""
+    # A sparse mask (DISC partner masks over large universes) costs one big-int
+    # step per set bit; a dense one (most printed sets) one C-level pass over
+    # its binary digits, least significant first.
+    if mask.bit_count() * 8 <= mask.bit_length():
+        return _sparse_bits(mask)
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
+
+
+def _sparse_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -57,7 +77,7 @@ class Universe:
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(name for i, name in enumerate(self.objects) if mask >> i & 1)
+        return tuple(map(self.objects.__getitem__, iter_bits(mask)))
 
 
 def make_universe(names: Sequence[str]) -> Universe:

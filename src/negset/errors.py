@@ -70,6 +70,13 @@ class UniverseTooLarge(NegsetError):
         self.cap = cap
 
 
+class SizeOutOfRange(NegsetError):
+    def __init__(self, size, high):
+        super().__init__(f"universe size {size} out of range 1..{high}")
+        self.size = size
+        self.high = high
+
+
 class UnknownFixture(NegsetError):
     def __init__(self, fixture_id):
         super().__init__(f"no such fixture: {fixture_id!r}")

@@ -33,7 +33,7 @@ from .consistency import (
     make_contradiction_spec,
     ContradictionSpec,
 )
-from .errors import UniverseTooLarge, UnknownFixture, UnknownLaw
+from .errors import SizeOutOfRange, UniverseTooLarge, UnknownFixture, UnknownLaw
 
 HOLDS = "holds-everywhere"
 COUNTEREXAMPLES = "counterexamples"
@@ -427,6 +427,8 @@ def check_law(
         law = LAWS[law_id]
     except KeyError:
         raise UnknownLaw(law_id) from None
+    if not 1 <= n <= len(_LETTERS):  # no cap override reaches past the default universe
+        raise SizeOutOfRange(n, len(_LETTERS))
     if n > law.cap and not allow_over_cap:
         raise UniverseTooLarge(n, law.cap)
     start = time.perf_counter()

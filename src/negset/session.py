@@ -140,9 +140,8 @@ class SessionScript:
     dominance: tuple[tuple[str, str], ...]
     policy: ResolutionPolicy
     statements: tuple[Statement, ...]
-
-    def contradiction_spec(self) -> ContradictionSpec:
-        return make_contradiction_spec(self.universe, self.strong, self.weak, self.dominance)
+    # built from universe, strong, weak and dominance when the script is validated
+    spec: ContradictionSpec = field(compare=False, repr=False)
 
 
 # --- lexer ---
@@ -352,6 +351,8 @@ def parse_session(text: str) -> SessionScript:
         elif keyword == "agent":
             p.advance()
             name = p.expect_name("agent name").value
+            if name in KEYWORDS:
+                raise ValidationError(f"keyword {name!r} cannot be bound", line)
             p.expect_sym("=")
             nec, adm = p.parse_negset_literal()
             p.end_line()
@@ -469,7 +470,11 @@ def parse_session(text: str) -> SessionScript:
             raise ValidationError(f"ranking does not cover agents: {uncovered}", policy_line)
         policy = AgentPriority(ranking)
 
-    script = SessionScript(
+    try:
+        spec = make_contradiction_spec(universe, strong, weak, dominance)
+    except NegsetError as exc:
+        raise ValidationError(str(exc)) from exc
+    return SessionScript(
         universe=universe,
         agents=tuple(agents),
         strong=strong,
@@ -477,12 +482,8 @@ def parse_session(text: str) -> SessionScript:
         dominance=dominance,
         policy=policy,
         statements=tuple(statements),
+        spec=spec,
     )
-    try:
-        script.contradiction_spec()
-    except NegsetError as exc:
-        raise ValidationError(str(exc)) from exc
-    return script
 
 
 # --- canonical printing ---
@@ -613,12 +614,17 @@ class SessionReport:
 class _Evaluator:
     """Bottom-up evaluator; tracks single-agent provenance for priority policies."""
 
-    def __init__(self, script: SessionScript):
-        self.script = script
-        self.spec = script.contradiction_spec()
-        self.policy = script.policy
+    def __init__(
+        self,
+        spec: ContradictionSpec,
+        policy: ResolutionPolicy,
+        env: dict[str, NegotiationSet],
+    ):
+        self.spec = spec
+        self.policy = policy
+        # every name in env is an agent, its own provenance
         self.env: dict[str, tuple[NegotiationSet, str | None]] = {
-            name: (value, name) for name, value in script.agents
+            name: (value, name) for name, value in env.items()
         }
         self.notes: list[str] = []
 
@@ -682,18 +688,13 @@ def eval_expr(
 
     Every name in ``env`` is treated as an agent for provenance purposes.
     """
-    ev = object.__new__(_Evaluator)
-    ev.spec = spec
-    ev.policy = policy
-    ev.env = {name: (value, name) for name, value in env.items()}
-    ev.notes = []
-    value, _ = ev.eval(e)
+    value, _ = _Evaluator(spec, policy, env).eval(e)
     return value
 
 
 def run_session(script: SessionScript) -> SessionReport:
     """Execute statements in order; expect failures continue, errors halt."""
-    ev = _Evaluator(script)
+    ev = _Evaluator(script.spec, script.policy, dict(script.agents))
     report = SessionReport(universe=script.universe)
     for stmt in script.statements:
         source = print_statement(stmt)

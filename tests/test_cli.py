@@ -104,6 +104,35 @@ class TestCheck:
         ]
 
 
+class TestSpecBuilds:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import negset.consistency
+        import negset.session
+
+        calls = []
+        original = negset.consistency.make_contradiction_spec
+
+        def counting(universe, *relations, **named):
+            calls.append(any(relations) or any(named.values()))
+            return original(universe, *relations, **named)
+
+        for module in (negset.consistency, negset.session, cli):
+            monkeypatch.setattr(module, "make_contradiction_spec", counting)
+        return calls
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_eval_builds_spec_once(self, builds, flags):
+        code, _, _ = run(["eval", *flags, str(SESSIONS / "disc_dominance.ns")])
+        assert code == 0
+        assert builds == [True]
+
+    def test_check_builds_relations_once(self, builds):
+        # the second build is the relation-free spec for ungated evaluation
+        run(["check", str(SESSIONS / "check_demo.ns")])
+        assert sorted(builds) == [False, True]
+
+
 class TestLaws:
     def test_single_law_holds(self):
         code, out, _ = run(["laws", "--law", "associativity-oplus", "--size", "3"])
@@ -124,6 +153,19 @@ class TestLaws:
         code, _, err = run(["laws", "--law", "associativity-odot", "--size", "6"])
         assert code == 4
         assert "cap" in err
+
+    @pytest.mark.parametrize("size", ["-1", "0", "13"])
+    def test_size_out_of_range_rejected(self, size):
+        code, out, err = run(["laws", "--law", "idempotence-odot", "--size", size,
+                              "--unsafe-size"])
+        assert code == 4
+        assert out == ""
+        assert err == f"error: universe size {size} out of range 1..12\n"
+
+    def test_size_at_default_universe_accepted(self):
+        code, _, _ = run(["laws", "--law", "idempotence-odot", "--size", "12",
+                          "--unsafe-size"])
+        assert code == 0
 
     def test_limit_flag(self):
         code, out, _ = run(["laws", "--law", "absorption-odot-oplus", "--size", "2",

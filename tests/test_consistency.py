@@ -60,6 +60,28 @@ class TestContradictionSpec:
         with pytest.raises(DominanceNotStrictOrder):
             ns.make_contradiction_spec(u, dominance_pairs=[("a", "b"), ("b", "c")])
 
+    @pytest.mark.parametrize("pairs,message", [
+        ([("a", "b"), ("b", "c")], "missing transitive pair (a, c)"),
+        ([("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")], "missing transitive pair (a, d)"),
+        ([("h", "g"), ("g", "f"), ("f", "e"), ("e", "d"), ("h", "f"), ("g", "e"),
+          ("h", "e"), ("d", "c")], "missing transitive pair (h, d)"),
+        ([("a", "b"), ("b", "h"), ("b", "g"), ("b", "c"), ("b", "e")],
+         "missing transitive pair (a, c)"),
+        ([("h", "a"), ("a", "b"), ("a", "c"), ("a", "d"), ("h", "b")],
+         "missing transitive pair (h, d)"),
+        ([("a", "b"), ("b", "a")], "(a, b) declared in both directions"),
+        ([("c", "d"), ("a", "b"), ("d", "c"), ("b", "a")], "(c, d) declared in both directions"),
+        ([("a", "b"), ("b", "c"), ("e", "f"), ("f", "e")], "(e, f) declared in both directions"),
+        ([("a", "b"), ("c", "c")], "(c, c) is reflexive"),
+        ([("a", "b"), ("b", "a"), ("c", "c")], "(c, c) is reflexive"),
+    ])
+    def test_dominance_error_text(self, pairs, message):
+        # the witness named in each message is part of the CLI's output
+        u = ns.make_universe(list("abcdefgh"))
+        with pytest.raises(DominanceNotStrictOrder) as info:
+            ns.make_contradiction_spec(u, dominance_pairs=pairs)
+        assert str(info.value) == message
+
     def test_dominance_transitive_ok(self):
         u = ns.make_universe(["a", "b", "c"])
         spec = ns.make_contradiction_spec(
@@ -251,6 +273,57 @@ class TestDiscProperties:
                     x, y = v.pair
                     assert x not in result.necessity
                     assert y not in result.necessity
+
+
+@st.composite
+def random_relations(draw, max_size=16):
+    n = draw(st.integers(2, max_size))
+    u = ns.make_universe([f"o{i}" for i in range(n)])
+    index_pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    declared = draw(st.lists(st.tuples(index_pair, st.booleans()), max_size=40))
+    kinds = {}
+    for (i, j), is_strong in declared:
+        kinds.setdefault(frozenset((i, j)), is_strong)  # first declaration wins
+    strong = [(u.objects[i], u.objects[j]) for (i, j), _ in declared
+              if kinds[frozenset((i, j))]]
+    weak = [(u.objects[i], u.objects[j]) for (i, j), _ in declared
+            if not kinds[frozenset((i, j))]]
+    adm = draw(st.integers(0, u.full_mask))
+    nec = draw(st.integers(0, u.full_mask)) & adm
+    a = ns.NegotiationSet(ns.FiniteSet(u, nec), ns.FiniteSet(u, adm))
+    return u, strong, weak, a
+
+
+def brute_force_violations(u, strong, weak, a):
+    """Every sorted pair checked in turn: strong ones first, then weak ones."""
+    nec, adm = set(a.necessity.names()), set(a.admissibility.names())
+
+    def by_index(pairs):
+        return sorted({tuple(sorted((u.objects.index(x), u.objects.index(y))))
+                       for x, y in pairs})
+
+    out = []
+    for i, j in by_index(strong):
+        x, y = u.objects[i], u.objects[j]
+        if x in adm and y in adm:
+            out.append((STRONG_IN_ADMISSIBILITY, (x, y)))
+    for i, j in by_index(weak):
+        x, y = u.objects[i], u.objects[j]
+        if x in adm and y in adm and (x in nec or y in nec):
+            out.append((WEAK_WITH_NECESSITY, (x, y)))
+    return out
+
+
+class TestDiscAgainstBruteForce:
+    @given(random_relations())
+    def test_violations_equal_pair_loop(self, data):
+        u, strong, weak, a = data
+        spec = ns.make_contradiction_spec(u, strong, weak)
+        got = [(v.kind, v.pair) for v in ns.disc_violations(a, spec)]
+        assert got == brute_force_violations(u, strong, weak, a)
+        assert ns.is_disc(a, spec) == ref_is_disc(as_pair(a), strong, weak)
 
 
 def random_disc_case(rng, max_size=6):

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 import negset as ns
 from negset import SpecialKind, InclusionMode
+from negset.core import iter_bits
 from negset.errors import (
     DuplicateName,
     EmptyFamily,
@@ -60,6 +61,15 @@ class TestUniverse:
     def test_declaration_order_is_stable(self):
         u = ns.make_universe(["z", "a", "m"])
         assert u.objects == ("z", "a", "m")
+
+
+class TestIterBits:
+    @given(st.one_of(
+        st.integers(0, 1 << 300),  # dense masks
+        st.sets(st.integers(0, 2000), max_size=20).map(lambda bits: sum(1 << i for i in bits)),
+    ))
+    def test_matches_bit_scan(self, mask):
+        assert list(iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class TestConstruction:

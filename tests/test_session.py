@@ -106,6 +106,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             parse_session("universe a\nagent A = [{} {a}]\nlet X = Y\nlet Y = A\n")
 
+    @pytest.mark.parametrize("name", ["not", "odot", "let", "expect"])
+    def test_keyword_agent_name_rejected(self, name):
+        with pytest.raises(ValidationError) as info:
+            parse_session(f"universe a b\nagent {name} = [{{a}} {{a b}}]\n")
+        assert str(info.value) == f"line 2: keyword {name!r} cannot be bound"
+
     def test_relation_object_must_exist(self):
         with pytest.raises(ValidationError):
             parse_session("universe a b\nagent A = [{} {a}]\nstrong a z\n")

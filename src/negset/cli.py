@@ -5,17 +5,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import oracle
 from .consistency import disc_violations, make_contradiction_spec
-from .errors import NegsetError, SizeOutOfRange, UniverseTooLarge, UnknownFixture, UnknownLaw
+from .errors import NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw
 from .session import (
-    Let,
     ParseError,
     SessionScript,
     ValidationError,
-    eval_expr,
+    eval_bindings,
+    eval_expr,  # noqa: F401  kept as cli.eval_expr, which perfbench/tracing.py spans
     format_negset,
+    negset_json,
     parse_session,
     run_session,
 )
@@ -27,22 +29,24 @@ EXIT_RESOLUTION = 3
 EXIT_CONFIG = 4
 
 
-def _load_script(path: str) -> SessionScript:
-    with open(path, encoding="utf-8") as handle:
-        return parse_session(handle.read())
-
-
-def cmd_eval(path: str, as_json: bool, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def _load_script(path: str, err) -> SessionScript | int:
+    """The parsed script, or the exit code after printing why it did not load."""
     try:
-        script = _load_script(path)
+        with open(path, encoding="utf-8") as handle:
+            return parse_session(handle.read())
     except OSError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE
+
+
+def cmd_eval(path: str, as_json: bool, out=None, err=None) -> int:
+    out = out or sys.stdout
+    script = _load_script(path, err or sys.stderr)
+    if isinstance(script, int):
+        return script
     report = run_session(script)
     out.write(report.to_json() if as_json else report.to_text())
     if report.halted:
@@ -53,26 +57,13 @@ def cmd_eval(path: str, as_json: bool, out=None, err=None) -> int:
 def cmd_check(path: str, as_json: bool, out=None, err=None) -> int:
     """Diagnostic mode: evaluate bindings without policy gating, report DISC verdicts."""
     out = out or sys.stdout
-    err = err or sys.stderr
-    try:
-        script = _load_script(path)
-    except OSError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_CONFIG
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_PARSE
+    script = _load_script(path, err or sys.stderr)
+    if isinstance(script, int):
+        return script
     ungated = make_contradiction_spec(script.universe)  # no relations: raw algebra
-    env = {name: value for name, value in script.agents}
-    named = [(name, value) for name, value in script.agents]
-    for stmt in script.statements:
-        if isinstance(stmt, Let):
-            value = eval_expr(stmt.expr, env, ungated)
-            env[stmt.name] = value
-            named.append((stmt.name, value))
     entries = []
     all_ok = True
-    for name, value in named:
+    for name, value in eval_bindings(script, ungated):
         violations = disc_violations(value, script.spec)
         all_ok &= not violations
         entries.append((name, value, violations))
@@ -82,10 +73,7 @@ def cmd_check(path: str, as_json: bool, out=None, err=None) -> int:
             "sets": [
                 {
                     "name": name,
-                    "value": {
-                        "necessity": list(value.necessity.names()),
-                        "admissibility": list(value.admissibility.names()),
-                    },
+                    "value": negset_json(value),
                     "disc": not violations,
                     "violations": [
                         {"kind": v.kind, "pair": list(v.pair)} for v in violations
@@ -119,16 +107,17 @@ def _law_line(report: oracle.LawReport) -> str:
 
 
 def _report_json(report: oracle.LawReport) -> dict:
-    return {
-        "law": report.law,
-        "size": report.size,
-        "checked": report.checked,
-        "verdict": report.verdict,
-        "counterexamples": list(report.counterexamples),
-        "violation_count": report.violation_count,
-        "elapsed": report.elapsed,
-        "matches_expected": report.matches_expected,
-    }
+    return {**asdict(report), "matches_expected": report.matches_expected}
+
+
+def _fixture_line(result: oracle.FixtureResult) -> str:
+    verdict = "pass" if result.passed else "FAIL"
+    note = f"  # {result.note}" if result.note else ""
+    return f"fixture {result.fixture_id}: {verdict}{note}"
+
+
+def _fixture_json(result: oracle.FixtureResult) -> dict:
+    return {"fixture": result.fixture_id, "passed": result.passed, "note": result.note}
 
 
 def cmd_laws(
@@ -136,7 +125,6 @@ def cmd_laws(
     run_all: bool,
     size: int | None,
     limit: int,
-    unsafe_size: bool,
     as_json: bool,
     out=None,
     err=None,
@@ -144,16 +132,10 @@ def cmd_laws(
     out = out or sys.stdout
     err = err or sys.stderr
     law_ids = oracle.law_ids() if run_all else [law]
-    reports = []
+    n = oracle.DECIDING_SIZE if size is None else size
     try:
-        for law_id in law_ids:
-            if law_id not in oracle.LAWS:
-                raise UnknownLaw(law_id)
-            n = size if size is not None else oracle.LAWS[law_id].cap
-            reports.append(
-                oracle.check_law(law_id, n, limit=limit, allow_over_cap=unsafe_size)
-            )
-    except (UnknownLaw, SizeOutOfRange, UniverseTooLarge) as exc:
+        reports = [oracle.check_law(law_id, n, limit=limit) for law_id in law_ids]
+    except (UnknownLaw, SizeOutOfRange) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
     fixtures = [oracle.verify_fixture(fid) for fid in oracle.fixture_ids()] if run_all else []
@@ -161,10 +143,7 @@ def cmd_laws(
     if as_json:
         doc = {
             "laws": [_report_json(r) for r in reports],
-            "fixtures": [
-                {"fixture": f.fixture_id, "passed": f.passed, "note": f.note}
-                for f in fixtures
-            ],
+            "fixtures": [_fixture_json(f) for f in fixtures],
             "ok": ok,
         }
         out.write(json.dumps(doc, indent=2) + "\n")
@@ -172,9 +151,7 @@ def cmd_laws(
         for report in reports:
             out.write(_law_line(report) + "\n")
         for fixture in fixtures:
-            verdict = "pass" if fixture.passed else "FAIL"
-            note = f"  # {fixture.note}" if fixture.note else ""
-            out.write(f"fixture {fixture.fixture_id}: {verdict}{note}\n")
+            out.write(_fixture_line(fixture) + "\n")
     return EXIT_OK if ok else EXIT_FAILED_CHECKS
 
 
@@ -190,18 +167,13 @@ def cmd_fixtures(fixture: str | None, as_json: bool, out=None, err=None) -> int:
     ok = all(r.passed for r in results)
     if as_json:
         doc = {
-            "fixtures": [
-                {"fixture": r.fixture_id, "passed": r.passed, "note": r.note}
-                for r in results
-            ],
+            "fixtures": [_fixture_json(r) for r in results],
             "ok": ok,
         }
         out.write(json.dumps(doc, indent=2) + "\n")
     else:
         for result in results:
-            verdict = "pass" if result.passed else "FAIL"
-            note = f"  # {result.note}" if result.note else ""
-            out.write(f"fixture {result.fixture_id}: {verdict}{note}\n")
+            out.write(_fixture_line(result) + "\n")
     return EXIT_OK if ok else EXIT_FAILED_CHECKS
 
 
@@ -225,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true", dest="run_all")
     p_laws.add_argument("--size", type=int, default=None)
     p_laws.add_argument("--limit", type=int, default=5)
-    p_laws.add_argument("--unsafe-size", action="store_true")
     p_laws.add_argument("--json", action="store_true")
 
     p_fix = sub.add_parser("fixtures", help="re-derive the worked examples")
@@ -243,9 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check(args.path, args.json)
         if args.command == "laws":
-            return cmd_laws(
-                args.law, args.run_all, args.size, args.limit, args.unsafe_size, args.json
-            )
+            return cmd_laws(args.law, args.run_all, args.size, args.limit, args.json)
         return cmd_fixtures(args.fixture, args.json)
     except NegsetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,13 +63,6 @@ class PolicyError(NegsetError):
     """Resolution policy was configured or invoked incorrectly."""
 
 
-class UniverseTooLarge(NegsetError):
-    def __init__(self, size, cap):
-        super().__init__(f"universe size {size} exceeds cap {cap} (override the cap to force)")
-        self.size = size
-        self.cap = cap
-
-
 class SizeOutOfRange(NegsetError):
     def __init__(self, size, high):
         super().__init__(f"universe size {size} out of range 1..{high}")

@@ -1,17 +1,29 @@
-"""Exhaustive law checker over small universes.
+"""Exhaustive law checker, decided on a two-object universe.
 
-Every algebraic claim about the compromise operators is swept over all
-negotiation sets of a small universe (3^n of them for n objects).  Laws
-expected to hold must report zero violations; refuted laws must surface at
-least one counterexample.  A fixture catalog re-derives every worked
-example from raw inputs.
+Pairing a negotiation set with its orthopair grades every object 1
+(necessary), 1/2 (admissible only) or 0.  ``odot``, ``oplus`` and the
+complement act on each object separately, so the algebra over a universe U
+is the direct power 3^U of the three-element algebra.  Every law in the
+catalog is an equation, a conjunctive Horn inclusion, or a condition on
+pairs of objects (DISC consistency, the point lemmas).  Direct powers
+preserve equations and Horn inclusions, and any counterexample projects
+onto the at most two objects it involves (Birkhoff 1935; Fitting 1991 for
+the three-valued knowledge order).  A sweep over all 3^2 negotiation sets
+of a two-object universe therefore decides every law.  One object is not
+enough: the point lemmas need two distinct objects.  Larger sizes, up to
+the twelve-object default universe, remain available as a cross-check.
+
+Laws expected to hold must report zero violations; refuted laws must
+surface at least one counterexample.  A fixture catalog re-derives every
+worked example from raw inputs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import partial, reduce
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable
 
 from .core import (
@@ -33,12 +45,12 @@ from .consistency import (
     make_contradiction_spec,
     ContradictionSpec,
 )
-from .errors import SizeOutOfRange, UniverseTooLarge, UnknownFixture, UnknownLaw
+from .errors import SizeOutOfRange, UnknownFixture, UnknownLaw
 
 HOLDS = "holds-everywhere"
 COUNTEREXAMPLES = "counterexamples"
 
-ENUMERATION_CAP = 12
+DECIDING_SIZE = 2  # see the module docstring
 _LETTERS = "abcdefghijkl"
 
 
@@ -62,10 +74,10 @@ def enumerate_mask_pairs(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def enumerate_negsets(universe: Universe, cap: int = ENUMERATION_CAP) -> list[NegotiationSet]:
+def enumerate_negsets(universe: Universe) -> list[NegotiationSet]:
     n = len(universe)
-    if n > cap:
-        raise UniverseTooLarge(n, cap)
+    if n > len(_LETTERS):
+        raise SizeOutOfRange(n, len(_LETTERS))
     return [
         NegotiationSet(FiniteSet(universe, nec), FiniteSet(universe, adm))
         for nec, adm in enumerate_mask_pairs(n)
@@ -93,12 +105,16 @@ class LawReport:
         return found == expected
 
 
+# A law's cases at size n: the tuples to check, a predicate taking one tuple
+# as arguments, and the text of a tuple reported as a counterexample.
+Cases = tuple[Iterable[tuple], Callable[..., bool], Callable[[tuple], str]]
+
+
 @dataclass(frozen=True)
 class LawSpec:
     law_id: str
-    cap: int
     expects_counterexample: bool
-    checker: Callable
+    cases: Callable[[int, ContradictionSpec | None], Cases]
 
 
 # --- mask-level operators, used in the hot sweeps ---
@@ -116,50 +132,18 @@ def _compl(full, n, p):
     return full & ~p, full & ~n
 
 
-def _sweep_unary(n, limit, predicate):
-    u = default_universe(n)
-    full = u.full_mask
-    sets = enumerate_mask_pairs(n)
-    examples, total = [], 0
-    for a in sets:
-        if not predicate(full, a):
-            total += 1
-            if len(examples) < limit:
-                examples.append(f"A={_fmt(u, *a)}")
-    return len(sets), examples, total
+def _sweep(arity, predicate):
+    """Cases of a mask-level law: every ``arity``-tuple of sets, named A, B, C."""
+    def cases(n, spec):
+        u = default_universe(n)
 
+        def describe(sets):
+            return " ".join(f"{name}={_fmt(u, *a)}" for name, a in zip("ABC", sets))
 
-def _sweep_pairs(n, limit, predicate):
-    u = default_universe(n)
-    full = u.full_mask
-    sets = enumerate_mask_pairs(n)
-    examples, total, checked = [], 0, 0
-    for a in sets:
-        for b in sets:
-            checked += 1
-            if not predicate(full, a, b):
-                total += 1
-                if len(examples) < limit:
-                    examples.append(f"A={_fmt(u, *a)} B={_fmt(u, *b)}")
-    return checked, examples, total
+        tuples = product(enumerate_mask_pairs(n), repeat=arity)
+        return tuples, partial(predicate, u.full_mask), describe
 
-
-def _sweep_triples(n, limit, predicate):
-    u = default_universe(n)
-    full = u.full_mask
-    sets = enumerate_mask_pairs(n)
-    examples, total, checked = [], 0, 0
-    for a in sets:
-        for b in sets:
-            for c in sets:
-                checked += 1
-                if not predicate(full, a, b, c):
-                    total += 1
-                    if len(examples) < limit:
-                        examples.append(
-                            f"A={_fmt(u, *a)} B={_fmt(u, *b)} C={_fmt(u, *c)}"
-                        )
-    return checked, examples, total
+    return cases
 
 
 # --- predicates ---
@@ -272,28 +256,27 @@ def _p_identity(full, a):
     )
 
 
-def _check_points(n, limit):
-    checked, examples, total = 0, [], 0
+def _points(n, spec):
+    """Both point lemmas for every ordered pair of distinct objects and grades."""
     u = default_universe(n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            x, y = 1 << i, 1 << j
-            for gx, gy in product((0, 1), repeat=2):
-                checked += 1
-                px = (x if gx else 0, x)
-                py = (y if gy else 0, y)
-                ok = (_oplus(*px, *py) == (0, 0)
-                      and _odot(*px, *py) == (0, x | y))
-                if not ok:
-                    total += 1
-                    if len(examples) < limit:
-                        examples.append(
-                            f"x={u.objects[i]}({'1' if gx else '0.5'}) "
-                            f"y={u.objects[j]}({'1' if gy else '0.5'})"
-                        )
-    return checked, examples, total
+    tuples = (
+        (i, j, gx, gy)
+        for i, j in permutations(range(n), 2)
+        for gx, gy in product((0, 1), repeat=2)
+    )
+
+    def holds(i, j, gx, gy):
+        x, y = 1 << i, 1 << j
+        px = (x if gx else 0, x)
+        py = (y if gy else 0, y)
+        return _oplus(*px, *py) == (0, 0) and _odot(*px, *py) == (0, x | y)
+
+    def describe(t):
+        i, j, gx, gy = t
+        return (f"x={u.objects[i]}({'1' if gx else '0.5'}) "
+                f"y={u.objects[j]}({'1' if gy else '0.5'})")
+
+    return tuples, holds, describe
 
 
 def _all_pair_labelings(n) -> Iterable[tuple[tuple, tuple]]:
@@ -305,111 +288,91 @@ def _all_pair_labelings(n) -> Iterable[tuple[tuple, tuple]]:
         yield strong, weak
 
 
-def _disc_sweep(n, limit, spec, check):
-    u = default_universe(n)
-    sets = enumerate_negsets(u)
-    if spec is not None:
-        specs = [spec]
-    else:
-        specs = [
-            make_contradiction_spec(
-                u,
-                [(u.objects[i], u.objects[j]) for i, j in strong],
-                [(u.objects[i], u.objects[j]) for i, j in weak],
-            )
-            for strong, weak in _all_pair_labelings(n)
-        ]
-    checked, examples, total = 0, [], 0
-    for sp in specs:
-        disc_sets = [a for a in sets if is_disc(a, sp)]
-        for a in disc_sets:
-            for b in disc_sets:
-                checked += 1
-                if not check(a, b, sp):
-                    total += 1
-                    if len(examples) < limit:
-                        examples.append(
-                            f"A={a} B={b} strong={sorted(sp.strong)} weak={sorted(sp.weak)}"
-                        )
-    return checked, examples, total
-
-
-def _check_disc_closure(n, limit, spec=None):
-    return _disc_sweep(n, limit, spec, lambda a, b, sp: is_disc(oplus(a, b), sp))
-
-
-def _check_disc_partial(n, limit, spec=None):
-    def check(a, b, sp):
-        return not any(
-            v.kind == WEAK_WITH_NECESSITY for v in disc_violations(odot(a, b), sp)
-        )
-
-    return _disc_sweep(n, limit, spec, check)
-
-
-def _check_fold(op_all, op_bin):
-    def run(n, limit):
+def _disc_law(holds):
+    """Cases of a DISC law: pairs of consistent sets under the given spec, or
+    under every labeling of object pairs when none is given."""
+    def cases(n, spec):
         u = default_universe(n)
         sets = enumerate_negsets(u)
-        checked, examples, total = 0, [], 0
-        for size in (1, 2, 3):
-            for family in product(sets, repeat=size):
-                checked += 1
-                direct = op_all(list(family))
-                folded = family[0]
-                for item in family[1:]:
-                    folded = op_bin(folded, item)
-                if direct != folded:
-                    total += 1
-                    if len(examples) < limit:
-                        examples.append(" ".join(str(a) for a in family))
-        return checked, examples, total
+        if spec is not None:
+            specs = [spec]
+        else:
+            specs = [
+                make_contradiction_spec(
+                    u,
+                    [(u.objects[i], u.objects[j]) for i, j in strong],
+                    [(u.objects[i], u.objects[j]) for i, j in weak],
+                )
+                for strong, weak in _all_pair_labelings(n)
+            ]
 
-    return run
+        def tuples():
+            for sp in specs:
+                disc_sets = [a for a in sets if is_disc(a, sp)]
+                for a, b in product(disc_sets, repeat=2):
+                    yield a, b, sp
+
+        def describe(t):
+            a, b, sp = t
+            return f"A={a} B={b} strong={sorted(sp.strong)} weak={sorted(sp.weak)}"
+
+        return tuples(), holds, describe
+
+    return cases
 
 
-def _wrap_unary(pred):
-    return lambda n, limit: _sweep_unary(n, limit, pred)
+def _disc_closed(a, b, sp):
+    return is_disc(oplus(a, b), sp)
 
 
-def _wrap_pairs(pred):
-    return lambda n, limit: _sweep_pairs(n, limit, pred)
+def _disc_partial(a, b, sp):
+    return not any(
+        v.kind == WEAK_WITH_NECESSITY for v in disc_violations(odot(a, b), sp)
+    )
 
 
-def _wrap_triples(pred):
-    return lambda n, limit: _sweep_triples(n, limit, pred)
+def _fold(op_all, op_bin):
+    """Cases of a fold law: families of one to three sets, n-ary form against the fold."""
+    def cases(n, spec):
+        sets = enumerate_negsets(default_universe(n))
+        tuples = (family for size in (1, 2, 3) for family in product(sets, repeat=size))
+
+        def holds(*family):
+            return op_all(list(family)) == reduce(op_bin, family)
+
+        return tuples, holds, lambda family: " ".join(str(a) for a in family)
+
+    return cases
 
 
 LAWS: dict[str, LawSpec] = {
     spec.law_id: spec
     for spec in [
-        LawSpec("idempotence-odot", 6, False, _wrap_unary(_p_idem_odot)),
-        LawSpec("idempotence-oplus", 6, False, _wrap_unary(_p_idem_oplus)),
-        LawSpec("complement-involution", 6, False, _wrap_unary(_p_invol)),
-        LawSpec("identity-lemmas", 6, False, _wrap_unary(_p_identity)),
-        LawSpec("commutativity-odot", 5, False, _wrap_pairs(_p_comm_odot)),
-        LawSpec("commutativity-oplus", 5, False, _wrap_pairs(_p_comm_oplus)),
-        LawSpec("absorption-oplus-odot", 5, False, _wrap_pairs(_p_absorb_oplus_odot)),
-        LawSpec("absorption-odot-oplus", 5, True, _wrap_pairs(_p_absorb_odot_oplus)),
-        LawSpec("demorgan-weak-1", 5, False, _wrap_pairs(_p_demorgan_1)),
-        LawSpec("demorgan-weak-2", 5, False, _wrap_pairs(_p_demorgan_2)),
-        LawSpec("demorgan-weak-3", 5, False, _wrap_pairs(_p_demorgan_3)),
-        LawSpec("demorgan-weak-4", 5, False, _wrap_pairs(_p_demorgan_4)),
-        LawSpec("associativity-odot", 4, False, _wrap_triples(_p_assoc_odot)),
-        LawSpec("associativity-oplus", 4, False, _wrap_triples(_p_assoc_oplus)),
-        LawSpec("distributivity-oplus-over-odot", 4, True, _wrap_triples(_p_dist_oplus_over_odot)),
-        LawSpec("distributivity-odot-over-oplus", 4, True, _wrap_triples(_p_dist_odot_over_oplus)),
-        LawSpec("bounds-upper", 4, False, _wrap_triples(_p_bounds_upper)),
-        LawSpec("bounds-lower", 4, False, _wrap_triples(_p_bounds_lower)),
-        LawSpec("point-lemmas", 6, False, _check_points),
-        LawSpec("fold-agreement-odot", 3, False, _check_fold(odot_all, odot)),
-        LawSpec("fold-agreement-oplus", 3, False, _check_fold(oplus_all, oplus)),
-        LawSpec("disc-closure-oplus", 3, False, _check_disc_closure),
-        LawSpec("disc-odot-weak-partial", 3, False, _check_disc_partial),
+        LawSpec("idempotence-odot", False, _sweep(1, _p_idem_odot)),
+        LawSpec("idempotence-oplus", False, _sweep(1, _p_idem_oplus)),
+        LawSpec("complement-involution", False, _sweep(1, _p_invol)),
+        LawSpec("identity-lemmas", False, _sweep(1, _p_identity)),
+        LawSpec("commutativity-odot", False, _sweep(2, _p_comm_odot)),
+        LawSpec("commutativity-oplus", False, _sweep(2, _p_comm_oplus)),
+        LawSpec("absorption-oplus-odot", False, _sweep(2, _p_absorb_oplus_odot)),
+        LawSpec("absorption-odot-oplus", True, _sweep(2, _p_absorb_odot_oplus)),
+        LawSpec("demorgan-weak-1", False, _sweep(2, _p_demorgan_1)),
+        LawSpec("demorgan-weak-2", False, _sweep(2, _p_demorgan_2)),
+        LawSpec("demorgan-weak-3", False, _sweep(2, _p_demorgan_3)),
+        LawSpec("demorgan-weak-4", False, _sweep(2, _p_demorgan_4)),
+        LawSpec("associativity-odot", False, _sweep(3, _p_assoc_odot)),
+        LawSpec("associativity-oplus", False, _sweep(3, _p_assoc_oplus)),
+        LawSpec("distributivity-oplus-over-odot", True, _sweep(3, _p_dist_oplus_over_odot)),
+        LawSpec("distributivity-odot-over-oplus", True, _sweep(3, _p_dist_odot_over_oplus)),
+        LawSpec("bounds-upper", False, _sweep(3, _p_bounds_upper)),
+        LawSpec("bounds-lower", False, _sweep(3, _p_bounds_lower)),
+        LawSpec("point-lemmas", False, _points),
+        LawSpec("fold-agreement-odot", False, _fold(odot_all, odot)),
+        LawSpec("fold-agreement-oplus", False, _fold(oplus_all, oplus)),
+        LawSpec("disc-closure-oplus", False, _disc_law(_disc_closed)),
+        LawSpec("disc-odot-weak-partial", False, _disc_law(_disc_partial)),
     ]
 }
-
-_DISC_LAWS = ("disc-closure-oplus", "disc-odot-weak-partial")
 
 
 def law_ids() -> list[str]:
@@ -418,24 +381,25 @@ def law_ids() -> list[str]:
 
 def check_law(
     law_id: str,
-    n: int,
+    n: int = DECIDING_SIZE,
     spec: ContradictionSpec | None = None,
     limit: int = 5,
-    allow_over_cap: bool = False,
 ) -> LawReport:
+    """Sweep one law over every case at size n; ``spec`` fixes the DISC laws' relations."""
     try:
         law = LAWS[law_id]
     except KeyError:
         raise UnknownLaw(law_id) from None
-    if not 1 <= n <= len(_LETTERS):  # no cap override reaches past the default universe
+    if not 1 <= n <= len(_LETTERS):
         raise SizeOutOfRange(n, len(_LETTERS))
-    if n > law.cap and not allow_over_cap:
-        raise UniverseTooLarge(n, law.cap)
     start = time.perf_counter()
-    if law_id in _DISC_LAWS:
-        checked, examples, total = law.checker(n, limit, spec)
-    else:
-        checked, examples, total = law.checker(n, limit)
+    tuples, holds, describe = law.cases(n, spec)
+    examples, total, checked = [], 0, 0
+    for checked, t in enumerate(tuples, 1):
+        if not holds(*t):
+            total += 1
+            if len(examples) < limit:
+                examples.append(describe(t))
     elapsed = time.perf_counter() - start
     verdict = COUNTEREXAMPLES if total else HOLDS
     return LawReport(law_id, n, checked, verdict, tuple(examples), total, elapsed)

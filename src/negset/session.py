@@ -191,6 +191,9 @@ def _lex(text: str) -> list[Token]:
 
 # --- parser ---
 
+_FIXED_POLICIES = {p.name: p for p in (Strict(), ObjectDominance(), FewestNecessities())}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
@@ -285,21 +288,18 @@ class _Parser:
             return NameRef(self.advance().value)
         raise self.fail(f"expected expression, found {tok.value or tok.kind!r}")
 
-    def parse_policy(self) -> tuple:
+    def parse_policy(self) -> ResolutionPolicy:
         tok = self.expect_name("policy name")
-        if tok.value == "strict":
-            return ("strict",)
-        if tok.value == "dominance":
-            return ("dominance",)
-        if tok.value == "fewest-necessities":
-            return ("fewest-necessities",)
         if tok.value == "agent-priority":
             ranking = [self.expect_name("agent name").value]
             while self.peek().kind == "SYM" and self.peek().value == ">":
                 self.advance()
                 ranking.append(self.expect_name("agent name").value)
-            return ("agent-priority", tuple(ranking))
-        raise ParseError(tok.line, tok.col, f"unknown policy {tok.value!r}")
+            return AgentPriority(tuple(ranking))
+        try:
+            return _FIXED_POLICIES[tok.value]
+        except KeyError:
+            raise ParseError(tok.line, tok.col, f"unknown policy {tok.value!r}") from None
 
 
 def parse_session(text: str) -> SessionScript:
@@ -310,7 +310,7 @@ def parse_session(text: str) -> SessionScript:
     strong_raw: list[tuple[tuple[str, str], int]] = []
     weak_raw: list[tuple[tuple[str, str], int]] = []
     dominance_raw: list[tuple[tuple[str, str], int]] = []
-    policy_raw: tuple | None = None
+    policy: ResolutionPolicy | None = None
     policy_line: int | None = None
     statements: list[Statement] = []
     known_names: set[str] = set()
@@ -379,9 +379,9 @@ def parse_session(text: str) -> SessionScript:
             dominance_raw.append(((x, y), line))
         elif keyword == "policy":
             p.advance()
-            if policy_raw is not None:
+            if policy is not None:
                 raise ValidationError("duplicate policy declaration", line)
-            policy_raw = p.parse_policy()
+            policy = p.parse_policy()
             policy_line = line
             p.end_line()
         elif keyword == "let":
@@ -451,15 +451,9 @@ def parse_session(text: str) -> SessionScript:
         (universe.objects[i], universe.objects[j]) for i, j in sorted(set(dominance_pairs))
     )
 
-    agent_names = {name for name, _ in agents}
-    if policy_raw is None or policy_raw[0] == "strict":
-        policy: ResolutionPolicy = Strict()
-    elif policy_raw[0] == "dominance":
-        policy = ObjectDominance()
-    elif policy_raw[0] == "fewest-necessities":
-        policy = FewestNecessities()
-    else:
-        ranking = policy_raw[1]
+    if isinstance(policy, AgentPriority):
+        ranking = policy.ranking
+        agent_names = {name for name, _ in agents}
         if len(set(ranking)) != len(ranking):
             raise ValidationError("priority ranking contains ties", policy_line)
         missing = [n for n in ranking if n not in agent_names]
@@ -468,7 +462,6 @@ def parse_session(text: str) -> SessionScript:
         uncovered = sorted(agent_names - set(ranking))
         if uncovered:
             raise ValidationError(f"ranking does not cover agents: {uncovered}", policy_line)
-        policy = AgentPriority(ranking)
 
     try:
         spec = make_contradiction_spec(universe, strong, weak, dominance)
@@ -480,7 +473,7 @@ def parse_session(text: str) -> SessionScript:
         strong=strong,
         weak=weak,
         dominance=dominance,
-        policy=policy,
+        policy=Strict() if policy is None else policy,
         statements=tuple(statements),
         spec=spec,
     )
@@ -539,6 +532,14 @@ def print_session(script: SessionScript) -> str:
     return "\n".join(lines) + "\n"
 
 
+def negset_json(a: NegotiationSet) -> dict:
+    """The JSON form of a negotiation set in every report: both ranges as name lists."""
+    return {
+        "necessity": list(a.necessity.names()),
+        "admissibility": list(a.admissibility.names()),
+    }
+
+
 # --- evaluation ---
 
 @dataclass
@@ -583,12 +584,6 @@ class SessionReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        def negset_json(a: NegotiationSet) -> dict:
-            return {
-                "necessity": list(a.necessity.names()),
-                "admissibility": list(a.admissibility.names()),
-            }
-
         statements = []
         for r in self.results:
             entry = {
@@ -666,6 +661,11 @@ class _Evaluator:
             prov = None
         return acc, None
 
+    def bind(self, stmt: Let) -> NegotiationSet:
+        value, prov = self.eval(stmt.expr)
+        self.env[stmt.name] = (value, prov)
+        return value
+
     def _odot_step(self, left, lprov, right, rprov) -> NegotiationSet:
         if self.spec.empty:
             return core.odot(left, right)
@@ -692,6 +692,19 @@ def eval_expr(
     return value
 
 
+def eval_bindings(
+    script: SessionScript, spec: ContradictionSpec
+) -> list[tuple[str, NegotiationSet]]:
+    """Every agent and ``let`` binding in script order, evaluated under ``spec``
+    with the strict policy by one evaluator."""
+    ev = _Evaluator(spec, Strict(), dict(script.agents))
+    named = list(script.agents)
+    for stmt in script.statements:
+        if isinstance(stmt, Let):
+            named.append((stmt.name, ev.bind(stmt)))
+    return named
+
+
 def run_session(script: SessionScript) -> SessionReport:
     """Execute statements in order; expect failures continue, errors halt."""
     ev = _Evaluator(script.spec, script.policy, dict(script.agents))
@@ -702,8 +715,7 @@ def run_session(script: SessionScript) -> SessionReport:
         kind = {Let: "let", Eval: "eval", AssertDisc: "assert_disc", Expect: "expect"}[type(stmt)]
         try:
             if isinstance(stmt, Let):
-                value, prov = ev.eval(stmt.expr)
-                ev.env[stmt.name] = (value, prov)
+                value = ev.bind(stmt)
                 report.results.append(
                     StatementResult(kind, f"let {stmt.name}", True, value, notes=tuple(ev.notes))
                 )

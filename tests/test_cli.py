@@ -104,6 +104,40 @@ class TestCheck:
         ]
 
 
+    def test_one_evaluator_per_run(self, tmp_path, monkeypatch):
+        import negset.session
+
+        built = []
+
+        class Counting(negset.session._Evaluator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(negset.session, "_Evaluator", Counting)
+        lets = "".join(f"let L{i} = A odot B\n" for i in range(30))
+        script = tmp_path / "lets.ns"
+        script.write_text("universe a b\nagent A = [{a} {a}]\nagent B = [{b} {b}]\n" + lets)
+        code, out, _ = run(["check", str(script)])
+        assert code == 0
+        assert out.count(": DISC") == 32
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("text,code,message", [
+        (None, 4, "error: [Errno 2] No such file or directory"),
+        ("universe a\nagent A = [{a} {}]\n", 2, "error: line 2: agent A:"),
+        ("universe a\nagent A = [{a}\n", 2, "error: 2:15: expected '{'"),
+    ])
+    def test_load_errors_match_eval(self, tmp_path, text, code, message):
+        path = tmp_path / "script.ns"
+        if text is not None:
+            path.write_text(text)
+        for command in ("eval", "check"):
+            got, out, err = run([command, str(path)])
+            assert (got, out) == (code, "")
+            assert err.startswith(message)
+
+
 class TestSpecBuilds:
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -149,22 +183,19 @@ class TestLaws:
         assert code == 4
         assert "bogus" in err
 
-    def test_size_above_cap_rejected(self):
-        code, _, err = run(["laws", "--law", "associativity-odot", "--size", "6"])
-        assert code == 4
-        assert "cap" in err
+    def test_size_above_old_cap_accepted(self):
+        code, _, _ = run(["laws", "--law", "idempotence-odot", "--size", "7"])
+        assert code == 0
 
     @pytest.mark.parametrize("size", ["-1", "0", "13"])
     def test_size_out_of_range_rejected(self, size):
-        code, out, err = run(["laws", "--law", "idempotence-odot", "--size", size,
-                              "--unsafe-size"])
+        code, out, err = run(["laws", "--law", "idempotence-odot", "--size", size])
         assert code == 4
         assert out == ""
         assert err == f"error: universe size {size} out of range 1..12\n"
 
     def test_size_at_default_universe_accepted(self):
-        code, _, _ = run(["laws", "--law", "idempotence-odot", "--size", "12",
-                          "--unsafe-size"])
+        code, _, _ = run(["laws", "--law", "idempotence-odot", "--size", "12"])
         assert code == 0
 
     def test_limit_flag(self):
@@ -172,6 +203,13 @@ class TestLaws:
                             "--limit", "1"])
         assert code == 0
         assert out.count("counterexample:") == 1
+
+    def test_all_json_at_deciding_size(self):
+        code, out, _ = run(["laws", "--all", "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert [r["size"] for r in doc["laws"]] == [2] * len(doc["laws"])
 
     def test_json(self):
         code, out, _ = run(["laws", "--json", "--law", "commutativity-odot", "--size", "2"])

@@ -4,7 +4,7 @@ import pytest
 
 import negset as ns
 from negset import oracle
-from negset.errors import UniverseTooLarge, UnknownFixture, UnknownLaw
+from negset.errors import SizeOutOfRange, UnknownFixture, UnknownLaw
 
 
 class TestEnumeration:
@@ -35,8 +35,8 @@ class TestEnumeration:
             assert a.necessity.issubset(a.admissibility)
 
     def test_cap(self):
-        with pytest.raises(UniverseTooLarge):
-            oracle.enumerate_negsets(oracle.default_universe(5), cap=4)
+        with pytest.raises(SizeOutOfRange):
+            oracle.enumerate_negsets(ns.make_universe([f"o{i}" for i in range(13)]))
 
     def test_deterministic_order(self):
         u = oracle.default_universe(3)
@@ -47,8 +47,7 @@ class TestCheckLaw:
     @pytest.mark.parametrize("law", [l for l in oracle.law_ids()
                                      if not oracle.LAWS[l].expects_counterexample])
     def test_proved_laws_hold(self, law):
-        n = min(3, oracle.LAWS[law].cap)
-        report = oracle.check_law(law, n)
+        report = oracle.check_law(law, 3)
         assert report.verdict == oracle.HOLDS
         assert report.violation_count == 0
         assert report.matches_expected
@@ -56,8 +55,7 @@ class TestCheckLaw:
     @pytest.mark.parametrize("law", [l for l in oracle.law_ids()
                                      if oracle.LAWS[l].expects_counterexample])
     def test_refuted_laws_fail(self, law):
-        n = min(3, oracle.LAWS[law].cap)
-        report = oracle.check_law(law, n)
+        report = oracle.check_law(law, 3)
         assert report.verdict == oracle.COUNTEREXAMPLES
         assert report.violation_count > 0
         assert report.matches_expected
@@ -107,10 +105,16 @@ class TestCheckLaw:
         report = oracle.check_law("disc-closure-oplus", 2, spec=spec)
         assert report.verdict == oracle.HOLDS
 
-    def test_size_cap_enforced(self):
-        with pytest.raises(UniverseTooLarge):
-            oracle.check_law("associativity-odot", 6)
+    def test_size_over_old_cap_accepted(self):
+        assert oracle.check_law("idempotence-odot", 7).verdict == oracle.HOLDS
         oracle.check_law("fold-agreement-odot", 3)
+
+    @pytest.mark.parametrize("law", oracle.law_ids())
+    def test_default_size_decides(self, law):
+        report = oracle.check_law(law)
+        assert report.size == 2
+        assert report.verdict == oracle.check_law(law, 3).verdict
+        assert report.matches_expected
 
     def test_unknown_law(self):
         with pytest.raises(UnknownLaw):
@@ -122,6 +126,22 @@ class TestCheckLaw:
         assert (a.checked, a.counterexamples, a.violation_count) == (
             b.checked, b.counterexamples, b.violation_count
         )
+
+
+class TestMaskOperators:
+    def test_agree_with_core(self):
+        # the sweeps' mask operators against the library's, on every pair at n = 3
+        u = oracle.default_universe(3)
+        sets = oracle.enumerate_negsets(u)
+
+        def masks(a):
+            return a.necessity.mask, a.admissibility.mask
+
+        for a in sets:
+            assert oracle._compl(u.full_mask, *masks(a)) == masks(ns.complement(a))
+            for b in sets:
+                assert oracle._odot(*masks(a), *masks(b)) == masks(ns.odot(a, b))
+                assert oracle._oplus(*masks(a), *masks(b)) == masks(ns.oplus(a, b))
 
 
 class TestFixtures:

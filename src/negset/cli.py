@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -27,6 +28,7 @@ EXIT_FAILED_CHECKS = 1
 EXIT_PARSE = 2
 EXIT_RESOLUTION = 3
 EXIT_CONFIG = 4
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 def _load_script(path: str, err) -> SessionScript | int:
@@ -37,7 +39,7 @@ def _load_script(path: str, err) -> SessionScript | int:
     except OSError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE
 
@@ -222,7 +224,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so that
+        # the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -68,13 +68,16 @@ def make_contradiction_spec(
     weak_pairs: Iterable[tuple[str, str]] = (),
     dominance_pairs: Iterable[tuple[str, str]] = (),
 ) -> ContradictionSpec:
+    # strong and weak pairs may come in any order and repeat; the reflexive
+    # pair reported is the lowest one whatever that order is
     def normalize(pairs):
         out = set()
         for x, y in pairs:
             i, j = universe.index(x), universe.index(y)
-            if i == j:
-                raise ReflexivePair(x)
-            out.add((min(i, j), max(i, j)))
+            out.add((i, j) if i < j else (j, i))
+        loops = [i for i, j in out if i == j]
+        if loops:
+            raise ReflexivePair(universe.objects[min(loops)])
         return frozenset(out)
 
     strong = normalize(strong_pairs)

@@ -204,8 +204,32 @@ def negset_of(universe: Universe, necessity: Iterable[str], admissibility: Itera
     return NegotiationSet(FiniteSet.of(universe, necessity), FiniteSet.of(universe, admissibility))
 
 
+# The mask arithmetic of the three operators, on (necessity, admissibility)
+# mask pairs.  The operators below and the law oracle's sweeps both use it.
+
+def odot_masks(nec1: int, adm1: int, nec2: int, adm2: int) -> tuple[int, int]:
+    """Minimalization: the necessities meet, the admissibilities join."""
+    return nec1 & nec2, adm1 | adm2
+
+
+def oplus_masks(nec1: int, adm1: int, nec2: int, adm2: int) -> tuple[int, int]:
+    """Relative maximalization: pooled necessities, clipped into the shared admissibility."""
+    adm = adm1 & adm2
+    return (nec1 | nec2) & adm, adm
+
+
+def complement_masks(full: int, nec: int, adm: int) -> tuple[int, int]:
+    """[N A] to [U - A, U - N] within the universe mask ``full``."""
+    return full & ~adm, full & ~nec
+
+
+def _from_masks(u: Universe, nec: int, adm: int) -> NegotiationSet:
+    return NegotiationSet(FiniteSet(u, nec), FiniteSet(u, adm))
+
+
 def complement(a: NegotiationSet) -> NegotiationSet:
-    return NegotiationSet(a.admissibility.complement(), a.necessity.complement())
+    u = a.universe
+    return _from_masks(u, *complement_masks(u.full_mask, a.necessity.mask, a.admissibility.mask))
 
 
 def difference(a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
@@ -248,22 +272,22 @@ def inter_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
     return NegotiationSet(FiniteSet(u, nec), FiniteSet(u, adm))
 
 
+def _fold(masks_op, family: Sequence[NegotiationSet]) -> NegotiationSet:
+    family = _family(family)
+    nec, adm = family[0].necessity.mask, family[0].admissibility.mask
+    for a in family[1:]:
+        nec, adm = masks_op(nec, adm, a.necessity.mask, a.admissibility.mask)
+    return _from_masks(family[0].universe, nec, adm)
+
+
 def odot_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
     """Minimalization of necessities: [intersection of necessities, union of admissibilities]."""
-    family = _family(family)
-    u = family[0].universe
-    nec = reduce(lambda m, a: m & a.necessity.mask, family, u.full_mask)
-    adm = reduce(lambda m, a: m | a.admissibility.mask, family, 0)
-    return NegotiationSet(FiniteSet(u, nec), FiniteSet(u, adm))
+    return _fold(odot_masks, family)
 
 
 def oplus_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
     """Relative maximalization: necessities are pooled, then clipped into the shared admissibility."""
-    family = _family(family)
-    u = family[0].universe
-    adm = reduce(lambda m, a: m & a.admissibility.mask, family, u.full_mask)
-    nec = reduce(lambda m, a: m | a.necessity.mask, family, 0) & adm
-    return NegotiationSet(FiniteSet(u, nec), FiniteSet(u, adm))
+    return _fold(oplus_masks, family)
 
 
 def odot(a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:

@@ -31,12 +31,15 @@ from .core import (
     NegotiationSet,
     Universe,
     complement,
+    complement_masks,
     make_universe,
     negset_of,
     odot,
     odot_all,
+    odot_masks,
     oplus,
     oplus_all,
+    oplus_masks,
 )
 from .consistency import (
     WEAK_WITH_NECESSITY,
@@ -117,21 +120,6 @@ class LawSpec:
     cases: Callable[[int, ContradictionSpec | None], Cases]
 
 
-# --- mask-level operators, used in the hot sweeps ---
-
-def _odot(n1, p1, n2, p2):
-    return n1 & n2, p1 | p2
-
-
-def _oplus(n1, p1, n2, p2):
-    p = p1 & p2
-    return (n1 | n2) & p, p
-
-
-def _compl(full, n, p):
-    return full & ~p, full & ~n
-
-
 def _sweep(arity, predicate):
     """Cases of a mask-level law: every ``arity``-tuple of sets, named A, B, C."""
     def cases(n, spec):
@@ -149,47 +137,49 @@ def _sweep(arity, predicate):
 # --- predicates ---
 
 def _p_idem_odot(full, a):
-    return _odot(*a, *a) == a
+    return odot_masks(*a, *a) == a
 
 
 def _p_idem_oplus(full, a):
-    return _oplus(*a, *a) == a
+    return oplus_masks(*a, *a) == a
 
 
 def _p_invol(full, a):
-    return _compl(full, *_compl(full, *a)) == a
+    return complement_masks(full, *complement_masks(full, *a)) == a
 
 
 def _p_comm_odot(full, a, b):
-    return _odot(*a, *b) == _odot(*b, *a)
+    return odot_masks(*a, *b) == odot_masks(*b, *a)
 
 
 def _p_comm_oplus(full, a, b):
-    return _oplus(*a, *b) == _oplus(*b, *a)
+    return oplus_masks(*a, *b) == oplus_masks(*b, *a)
 
 
 def _p_assoc_odot(full, a, b, c):
-    return _odot(*_odot(*a, *b), *c) == _odot(*a, *_odot(*b, *c))
+    return odot_masks(*odot_masks(*a, *b), *c) == odot_masks(*a, *odot_masks(*b, *c))
 
 
 def _p_assoc_oplus(full, a, b, c):
-    return _oplus(*_oplus(*a, *b), *c) == _oplus(*a, *_oplus(*b, *c))
+    return oplus_masks(*oplus_masks(*a, *b), *c) == oplus_masks(*a, *oplus_masks(*b, *c))
 
 
 def _p_absorb_oplus_odot(full, a, b):
-    return _oplus(*a, *_odot(*a, *b)) == a
+    return oplus_masks(*a, *odot_masks(*a, *b)) == a
 
 
 def _p_absorb_odot_oplus(full, a, b):
-    return _odot(*a, *_oplus(*a, *b)) == a
+    return odot_masks(*a, *oplus_masks(*a, *b)) == a
 
 
 def _p_dist_oplus_over_odot(full, a, b, c):
-    return _oplus(*a, *_odot(*b, *c)) == _odot(*_oplus(*a, *b), *_oplus(*a, *c))
+    return (oplus_masks(*a, *odot_masks(*b, *c))
+            == odot_masks(*oplus_masks(*a, *b), *oplus_masks(*a, *c)))
 
 
 def _p_dist_odot_over_oplus(full, a, b, c):
-    return _odot(*a, *_oplus(*b, *c)) == _oplus(*_odot(*a, *b), *_odot(*a, *c))
+    return (odot_masks(*a, *oplus_masks(*b, *c))
+            == oplus_masks(*odot_masks(*a, *b), *odot_masks(*a, *c)))
 
 
 def _subset(x, y):
@@ -201,7 +191,7 @@ def _p_bounds_upper(full, a1, a2, b):
     if not (_subset(a1[0], b[0]) and _subset(a1[1], b[1])
             and _subset(a2[0], b[0]) and _subset(a2[1], b[1])):
         return True
-    od = _odot(*a1, *a2)
+    od = odot_masks(*a1, *a2)
     un = (a1[0] | a2[0], a1[1] | a2[1])
     return (_subset(od[0], un[0]) and _subset(od[1], un[1])
             and _subset(un[0], b[0]) and _subset(un[1], b[1]))
@@ -212,32 +202,32 @@ def _p_bounds_lower(full, a1, a2, b):
             and _subset(b[0], a2[0]) and _subset(b[1], a2[1])):
         return True
     it = (a1[0] & a2[0], a1[1] & a2[1])
-    op = _oplus(*a1, *a2)
+    op = oplus_masks(*a1, *a2)
     return (_subset(b[0], it[0]) and _subset(b[1], it[1])
             and _subset(it[0], op[0]) and _subset(it[1], op[1]))
 
 
 def _p_demorgan_1(full, a, b):
-    lhs = _compl(full, *_odot(*a, *b))
-    rhs = _oplus(*_compl(full, *a), *_compl(full, *b))
+    lhs = complement_masks(full, *odot_masks(*a, *b))
+    rhs = oplus_masks(*complement_masks(full, *a), *complement_masks(full, *b))
     return _subset(lhs[0], rhs[0])
 
 
 def _p_demorgan_2(full, a, b):
-    lhs = _oplus(*_compl(full, *a), *_compl(full, *b))
-    rhs = _compl(full, *_odot(*a, *b))
+    lhs = oplus_masks(*complement_masks(full, *a), *complement_masks(full, *b))
+    rhs = complement_masks(full, *odot_masks(*a, *b))
     return _subset(lhs[1], rhs[1])
 
 
 def _p_demorgan_3(full, a, b):
-    lhs = _odot(*_compl(full, *a), *_compl(full, *b))
-    rhs = _compl(full, *_oplus(*a, *b))
+    lhs = odot_masks(*complement_masks(full, *a), *complement_masks(full, *b))
+    rhs = complement_masks(full, *oplus_masks(*a, *b))
     return _subset(lhs[0], rhs[0])
 
 
 def _p_demorgan_4(full, a, b):
-    lhs = _compl(full, *_oplus(*a, *b))
-    rhs = _odot(*_compl(full, *a), *_compl(full, *b))
+    lhs = complement_masks(full, *oplus_masks(*a, *b))
+    rhs = odot_masks(*complement_masks(full, *a), *complement_masks(full, *b))
     return _subset(lhs[1], rhs[1])
 
 
@@ -247,12 +237,12 @@ def _p_identity(full, a):
     bottom = (0, 0)
     half = (0, full)
     return (
-        _odot(*a, *top) == (nec, full)
-        and _odot(*a, *bottom) == (0, adm)
-        and _oplus(*a, *top) == (adm, adm)
-        and _oplus(*a, *bottom) == bottom
-        and _odot(*a, *half) == half
-        and _oplus(*a, *half) == a
+        odot_masks(*a, *top) == (nec, full)
+        and odot_masks(*a, *bottom) == (0, adm)
+        and oplus_masks(*a, *top) == (adm, adm)
+        and oplus_masks(*a, *bottom) == bottom
+        and odot_masks(*a, *half) == half
+        and oplus_masks(*a, *half) == a
     )
 
 
@@ -269,7 +259,7 @@ def _points(n, spec):
         x, y = 1 << i, 1 << j
         px = (x if gx else 0, x)
         py = (y if gy else 0, y)
-        return _oplus(*px, *py) == (0, 0) and _odot(*px, *py) == (0, x | y)
+        return oplus_masks(*px, *py) == (0, 0) and odot_masks(*px, *py) == (0, x | y)
 
     def describe(t):
         i, j, gx, gy = t

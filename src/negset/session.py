@@ -25,6 +25,7 @@ complement; ``odot(A, B, C)`` etc. are the n-ary forms.
 from __future__ import annotations
 
 import json as _json
+import re
 from dataclasses import dataclass, field
 
 from . import core
@@ -129,116 +130,119 @@ class Expect:
 
 
 Statement = Let | Eval | AssertDisc | Expect
+_KIND = {Let: "let", Eval: "eval", AssertDisc: "assert_disc", Expect: "expect"}
 
 
 @dataclass(frozen=True)
 class SessionScript:
     universe: Universe
     agents: tuple[tuple[str, NegotiationSet], ...]
-    strong: tuple[tuple[str, str], ...]
-    weak: tuple[tuple[str, str], ...]
-    dominance: tuple[tuple[str, str], ...]
     policy: ResolutionPolicy
     statements: tuple[Statement, ...]
-    # built from universe, strong, weak and dominance when the script is validated
-    spec: ContradictionSpec = field(compare=False, repr=False)
+    spec: ContradictionSpec  # the declared relations, built and validated once
+
+    # read-only views of the spec: its index pairs in order, as object names
+    strong = property(lambda self: self._names(self.spec.strong))
+    weak = property(lambda self: self._names(self.spec.weak))
+    dominance = property(lambda self: self._names(self.spec.dominance))
+
+    def _names(self, pairs: frozenset[tuple[int, int]]) -> tuple[tuple[str, str], ...]:
+        return tuple(map(self.spec.pair_names, sorted(pairs)))
 
 
 # --- lexer ---
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME, SYM, NEWLINE, EOF
-    value: str
-    line: int
-    col: int
+# A symbol, a name, a comment, or any other non-space character, which is an
+# error.  \w and \s follow str.isalnum and str.isspace.
+_TOKEN = re.compile(r"([()\[\]{},=>])|([\w.-]+)|(#)|(\S)")
+_KINDS = (None, "SYM", "NAME")
 
-
-_SYMBOLS = set("()[]{},=>")
+# A token is (kind, value, line, column); kind is SYM, NAME, NEWLINE or EOF.
+Token = tuple[str, str, int, int]
 
 
 def _lex(text: str) -> list[Token]:
-    tokens = []
+    tokens: list[Token] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        col = 0
-        n = len(line)
-        emitted = False
-        while col < n:
-            c = line[col]
-            if c == "#":
+        first = len(tokens)
+        for match in _TOKEN.finditer(line):
+            group = match.lastindex
+            if group == 3:
                 break
-            if c.isspace():
-                col += 1
-                continue
-            if c in _SYMBOLS:
-                tokens.append(Token("SYM", c, lineno, col + 1))
-                col += 1
-                emitted = True
-                continue
-            if c.isalnum() or c in "_-.":
-                start = col
-                while col < n and (line[col].isalnum() or line[col] in "_-."):
-                    col += 1
-                tokens.append(Token("NAME", line[start:col], lineno, start + 1))
-                emitted = True
-                continue
-            raise ParseError(lineno, col + 1, f"unexpected character {c!r}")
-        if emitted:
-            tokens.append(Token("NEWLINE", "", lineno, n + 1))
-    tokens.append(Token("EOF", "", text.count("\n") + 1, 1))
+            if group == 4:
+                raise ParseError(lineno, match.start() + 1,
+                                 f"unexpected character {match.group()!r}")
+            tokens.append((_KINDS[group], match.group(), lineno, match.start() + 1))
+        if len(tokens) > first:
+            tokens.append(("NEWLINE", "", lineno, len(line) + 1))
+    # two sentinels, so that peek(1) needs no bounds check
+    eof = ("EOF", "", text.count("\n") + 1, 1)
+    tokens += (eof, eof)
     return tokens
 
 
 # --- parser ---
 
 _FIXED_POLICIES = {p.name: p for p in (Strict(), ObjectDominance(), FewestNecessities())}
+_RELATIONS = ("strong", "weak", "dominance")
+_STATEMENTS = {"universe", "agent", "policy", *_RELATIONS, "let", "eval", "assert_disc", "expect"}
+
+# Only a SYM token's value is a symbol, and only a NAME token's value is a
+# word, so most checks below compare values alone.
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
         self.pos = 0
+        self.refs: list[str] = []  # names referenced since the last reset, in source order
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+        return self.tokens[self.pos + ahead]
 
     def fail(self, message: str) -> "ParseError":
-        tok = self.peek()
-        return ParseError(tok.line, tok.col, message)
+        _, _, line, col = self.peek()
+        return ParseError(line, col, message)
 
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "SYM" or tok.value != sym:
-            raise self.fail(f"expected {sym!r}, found {tok.value or tok.kind!r}")
-        return self.advance()
+    def expected(self, what: str) -> "ParseError":
+        kind, value, _, _ = self.peek()
+        return self.fail(f"expected {what}, found {value or kind!r}")
 
-    def expect_name(self, what: str = "name") -> Token:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            raise self.fail(f"expected {what}, found {tok.value or tok.kind!r}")
-        return self.advance()
+    def expect_sym(self, sym: str) -> None:
+        if self.peek()[1] != sym:
+            raise self.expected(repr(sym))
+        self.pos += 1
+
+    def expect_name(self, what: str = "name") -> str:
+        kind, value, _, _ = self.peek()
+        if kind != "NAME":
+            raise self.expected(what)
+        self.pos += 1
+        return value
 
     def end_line(self) -> None:
-        tok = self.peek()
-        if tok.kind not in ("NEWLINE", "EOF"):
-            raise self.fail(f"unexpected trailing token {tok.value!r}")
-        if tok.kind == "NEWLINE":
-            self.advance()
+        kind, value, _, _ = self.peek()
+        if kind == "NEWLINE":
+            self.pos += 1
+        elif kind != "EOF":
+            raise self.fail(f"unexpected trailing token {value!r}")
+
+    def binding(self, what: str, line: int) -> str:
+        """The bound name of ``agent``/``let``, up to and including the ``=``."""
+        name = self.expect_name(what)
+        if name in KEYWORDS:
+            raise ValidationError(f"keyword {name!r} cannot be bound", line)
+        self.expect_sym("=")
+        return name
 
     # set and negotiation-set literals, as raw name lists
 
     def parse_set_literal(self) -> list[str]:
         self.expect_sym("{")
         names = []
-        while not (self.peek().kind == "SYM" and self.peek().value == "}"):
-            names.append(self.expect_name("object name").value)
-        self.advance()
+        while self.peek()[1] != "}":
+            names.append(self.expect_name("object name"))
+        self.pos += 1
         return names
 
     def parse_negset_literal(self) -> tuple[list[str], list[str]]:
@@ -251,55 +255,67 @@ class _Parser:
     # expressions
 
     def parse_expr(self) -> Expr:
+        # Opening parentheses wrap the left operand, so they are counted here
+        # rather than recursed into: a printed left-deep chain
+        # ((A odot B) odot C) odot D parses in one loop.
+        opened = 0
+        while self.peek()[1] == "(":
+            self.pos += 1
+            opened += 1
         left = self.parse_term()
-        while self.peek().kind == "NAME" and self.peek().value in BINARY_OPS:
-            op = self.advance().value
-            right = self.parse_term()
-            left = Binary(op, left, right)
+        while True:
+            op = self.peek()[1]
+            if op in BINARY_OPS:
+                self.pos += 1
+                left = Binary(op, left, self.parse_term())
+            elif opened and op == ")":
+                self.pos += 1
+                opened -= 1
+            else:
+                break
+        if opened:
+            self.expect_sym(")")  # raises: the expression ended inside a parenthesis
         return left
 
     def parse_term(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.value == "(":
-            self.advance()
+        kind, value, _, _ = self.peek()
+        if value == "(":
+            self.pos += 1
             inner = self.parse_expr()
             self.expect_sym(")")
             return inner
-        if tok.kind == "NAME" and tok.value == "not":
-            self.advance()
+        if value == "not":
+            self.pos += 1
             return Complement(self.parse_term())
-        if (
-            tok.kind == "NAME"
-            and tok.value in NARY_OPS
-            and self.peek(1).kind == "SYM"
-            and self.peek(1).value == "("
-        ):
-            op = self.advance().value
-            self.advance()  # (
+        if value in NARY_OPS and self.peek(1)[1] == "(":
+            self.pos += 2
             items = [self.parse_expr()]
-            while self.peek().kind == "SYM" and self.peek().value == ",":
-                self.advance()
+            while self.peek()[1] == ",":
+                self.pos += 1
                 items.append(self.parse_expr())
             self.expect_sym(")")
-            return Nary(op, tuple(items))
-        if tok.kind == "NAME":
-            if tok.value in KEYWORDS:
-                raise self.fail(f"keyword {tok.value!r} cannot be used as a name")
-            return NameRef(self.advance().value)
-        raise self.fail(f"expected expression, found {tok.value or tok.kind!r}")
+            return Nary(value, tuple(items))
+        if kind == "NAME":
+            if value in KEYWORDS:
+                raise self.fail(f"keyword {value!r} cannot be used as a name")
+            self.pos += 1
+            self.refs.append(value)
+            return NameRef(value)
+        raise self.expected("expression")
 
     def parse_policy(self) -> ResolutionPolicy:
-        tok = self.expect_name("policy name")
-        if tok.value == "agent-priority":
-            ranking = [self.expect_name("agent name").value]
-            while self.peek().kind == "SYM" and self.peek().value == ">":
-                self.advance()
-                ranking.append(self.expect_name("agent name").value)
+        _, _, line, col = self.peek()
+        name = self.expect_name("policy name")
+        if name == "agent-priority":
+            ranking = [self.expect_name("agent name")]
+            while self.peek()[1] == ">":
+                self.pos += 1
+                ranking.append(self.expect_name("agent name"))
             return AgentPriority(tuple(ranking))
         try:
-            return _FIXED_POLICIES[tok.value]
+            return _FIXED_POLICIES[name]
         except KeyError:
-            raise ParseError(tok.line, tok.col, f"unknown policy {tok.value!r}") from None
+            raise ParseError(line, col, f"unknown policy {name!r}") from None
 
 
 def parse_session(text: str) -> SessionScript:
@@ -307,53 +323,37 @@ def parse_session(text: str) -> SessionScript:
     p = _Parser(text)
     universe: Universe | None = None
     agents: list[tuple[str, NegotiationSet]] = []
-    strong_raw: list[tuple[tuple[str, str], int]] = []
-    weak_raw: list[tuple[tuple[str, str], int]] = []
-    dominance_raw: list[tuple[tuple[str, str], int]] = []
+    relations: dict[str, list[tuple[str, str]]] = {kind: [] for kind in _RELATIONS}
+    relation_lines: dict[str, list[int]] = {kind: [] for kind in _RELATIONS}
     policy: ResolutionPolicy | None = None
     policy_line: int | None = None
     statements: list[Statement] = []
     known_names: set[str] = set()
 
-    def check_refs(expr: Expr, line: int) -> None:
-        if isinstance(expr, NameRef):
-            if expr.name not in known_names:
-                raise ValidationError(f"unknown name {expr.name!r}", line)
-        elif isinstance(expr, Complement):
-            check_refs(expr.operand, line)
-        elif isinstance(expr, Binary):
-            check_refs(expr.left, line)
-            check_refs(expr.right, line)
-        else:
-            for item in expr.items:
-                check_refs(item, line)
-
-    while p.peek().kind != "EOF":
-        tok = p.peek()
-        if tok.kind != "NAME":
-            raise p.fail(f"expected statement keyword, found {tok.value!r}")
-        keyword = tok.value
-        line = tok.line
+    while True:
+        kind, keyword, line, _ = p.peek()
+        if kind == "EOF":
+            break
+        if kind != "NAME":
+            raise p.fail(f"expected statement keyword, found {keyword!r}")
         if universe is None and keyword != "universe":
             raise ValidationError("the universe must be declared first", line)
+        if keyword not in _STATEMENTS:
+            raise p.fail(f"unknown statement keyword {keyword!r}")
+        p.pos += 1
         if keyword == "universe":
-            p.advance()
             if universe is not None:
                 raise ValidationError("duplicate universe declaration", line)
             names = []
-            while p.peek().kind == "NAME":
-                names.append(p.advance().value)
+            while p.peek()[0] == "NAME":
+                names.append(p.expect_name())
             p.end_line()
             try:
                 universe = make_universe(names)
             except NegsetError as exc:
                 raise ValidationError(str(exc), line) from exc
         elif keyword == "agent":
-            p.advance()
-            name = p.expect_name("agent name").value
-            if name in KEYWORDS:
-                raise ValidationError(f"keyword {name!r} cannot be bound", line)
-            p.expect_sym("=")
+            name = p.binding("agent name", line)
             nec, adm = p.parse_negset_literal()
             p.end_line()
             if name in known_names:
@@ -364,92 +364,53 @@ def parse_session(text: str) -> SessionScript:
                 raise ValidationError(f"agent {name}: {exc}", line) from exc
             agents.append((name, value))
             known_names.add(name)
-        elif keyword in ("strong", "weak"):
-            p.advance()
-            x = p.expect_name("object name").value
-            y = p.expect_name("object name").value
+        elif keyword in relations:
+            x = p.expect_name("object name")
+            if keyword == "dominance":
+                p.expect_sym(">")
+            y = p.expect_name("object name")
             p.end_line()
-            (strong_raw if keyword == "strong" else weak_raw).append(((x, y), line))
-        elif keyword == "dominance":
-            p.advance()
-            x = p.expect_name("object name").value
-            p.expect_sym(">")
-            y = p.expect_name("object name").value
-            p.end_line()
-            dominance_raw.append(((x, y), line))
+            relations[keyword].append((x, y))
+            relation_lines[keyword].append(line)
         elif keyword == "policy":
-            p.advance()
             if policy is not None:
                 raise ValidationError("duplicate policy declaration", line)
             policy = p.parse_policy()
             policy_line = line
             p.end_line()
-        elif keyword == "let":
-            p.advance()
-            name = p.expect_name("binding name").value
-            if name in KEYWORDS:
-                raise ValidationError(f"keyword {name!r} cannot be bound", line)
-            p.expect_sym("=")
+        else:  # let, eval, assert_disc, expect
+            name = p.binding("binding name", line) if keyword == "let" else None
+            p.refs = []
             expr = p.parse_expr()
+            if keyword == "expect":
+                p.expect_sym("=")
+                nec, adm = p.parse_negset_literal()
             p.end_line()
             if name in known_names:
                 raise ValidationError(f"duplicate name {name!r}", line)
-            check_refs(expr, line)
-            statements.append(Let(name, expr))
-            known_names.add(name)
-        elif keyword == "eval":
-            p.advance()
-            expr = p.parse_expr()
-            p.end_line()
-            check_refs(expr, line)
-            statements.append(Eval(expr))
-        elif keyword == "assert_disc":
-            p.advance()
-            expr = p.parse_expr()
-            p.end_line()
-            check_refs(expr, line)
-            statements.append(AssertDisc(expr))
-        elif keyword == "expect":
-            p.advance()
-            expr = p.parse_expr()
-            p.expect_sym("=")
-            nec, adm = p.parse_negset_literal()
-            p.end_line()
-            check_refs(expr, line)
-            try:
-                target = negset_of(universe, nec, adm)
-            except (NotDouble, UnknownObject) as exc:
-                raise ValidationError(str(exc), line) from exc
-            statements.append(Expect(expr, target))
-        else:
-            raise p.fail(f"unknown statement keyword {keyword!r}")
+            for ref in p.refs:
+                if ref not in known_names:
+                    raise ValidationError(f"unknown name {ref!r}", line)
+            if keyword == "let":
+                statements.append(Let(name, expr))
+                known_names.add(name)
+            elif keyword == "expect":
+                try:
+                    target = negset_of(universe, nec, adm)
+                except (NotDouble, UnknownObject) as exc:
+                    raise ValidationError(str(exc), line) from exc
+                statements.append(Expect(expr, target))
+            else:
+                statements.append((Eval if keyword == "eval" else AssertDisc)(expr))
 
     if universe is None:
         raise ValidationError("script declares no universe")
 
-    def normalize(raw):
-        pairs = []
-        for (x, y), line in raw:
-            for name in (x, y):
+    for kind in _RELATIONS:
+        for pair, line in zip(relations[kind], relation_lines[kind]):
+            for name in pair:
                 if name not in universe:
                     raise ValidationError(f"object {name!r} not in universe", line)
-            i, j = universe.index(x), universe.index(y)
-            pairs.append((min(i, j), max(i, j)))
-        return tuple(
-            (universe.objects[i], universe.objects[j]) for i, j in sorted(set(pairs))
-        )
-
-    strong = normalize(strong_raw)
-    weak = normalize(weak_raw)
-    dominance_pairs = []
-    for (x, y), line in dominance_raw:
-        for name in (x, y):
-            if name not in universe:
-                raise ValidationError(f"object {name!r} not in universe", line)
-        dominance_pairs.append((universe.index(x), universe.index(y)))
-    dominance = tuple(
-        (universe.objects[i], universe.objects[j]) for i, j in sorted(set(dominance_pairs))
-    )
 
     if isinstance(policy, AgentPriority):
         ranking = policy.ranking
@@ -463,16 +424,16 @@ def parse_session(text: str) -> SessionScript:
         if uncovered:
             raise ValidationError(f"ranking does not cover agents: {uncovered}", policy_line)
 
+    # make_contradiction_spec names the first broken dominance pair it meets;
+    # index order makes that independent of the order of the script's lines.
+    dominance = sorted(relations["dominance"], key=lambda pair: tuple(map(universe.index, pair)))
     try:
-        spec = make_contradiction_spec(universe, strong, weak, dominance)
+        spec = make_contradiction_spec(universe, relations["strong"], relations["weak"], dominance)
     except NegsetError as exc:
         raise ValidationError(str(exc)) from exc
     return SessionScript(
         universe=universe,
         agents=tuple(agents),
-        strong=strong,
-        weak=weak,
-        dominance=dominance,
         policy=Strict() if policy is None else policy,
         statements=tuple(statements),
         spec=spec,
@@ -485,18 +446,34 @@ def format_negset(a: NegotiationSet) -> str:
     return str(a)
 
 
+def _left_spine(e: Expr) -> tuple[Expr, list[Binary]]:
+    """The innermost left operand of ``e`` and the ``Binary`` nodes above it, lowest first.
+
+    Left-deep chains are walked with this loop rather than one call per term.
+    """
+    spine = []
+    while isinstance(e, Binary):
+        spine.append(e)
+        e = e.left
+    spine.reverse()
+    return e, spine
+
+
 def print_expr(e: Expr) -> str:
     def wrap(child: Expr) -> str:
         text = print_expr(child)
         return f"({text})" if isinstance(child, Binary) else text
 
+    # a left spine prints as "((x op r1) op r2) op r3"
+    e, spine = _left_spine(e)
     if isinstance(e, NameRef):
-        return e.name
-    if isinstance(e, Complement):
-        return f"not {wrap(e.operand)}"
-    if isinstance(e, Binary):
-        return f"{wrap(e.left)} {e.op} {wrap(e.right)}"
-    return f"{e.op}({', '.join(print_expr(i) for i in e.items)})"
+        text = e.name
+    elif isinstance(e, Complement):
+        text = f"not {wrap(e.operand)}"
+    else:
+        text = f"{e.op}({', '.join(print_expr(i) for i in e.items)})"
+    steps = ")".join(f" {node.op} {wrap(node.right)}" for node in spine)
+    return "(" * (len(spine) - 1) + text + steps
 
 
 def print_policy(policy: ResolutionPolicy) -> str:
@@ -508,11 +485,8 @@ def print_policy(policy: ResolutionPolicy) -> str:
 def print_statement(stmt: Statement) -> str:
     if isinstance(stmt, Let):
         return f"let {stmt.name} = {print_expr(stmt.expr)}"
-    if isinstance(stmt, Eval):
-        return f"eval {print_expr(stmt.expr)}"
-    if isinstance(stmt, AssertDisc):
-        return f"assert_disc {print_expr(stmt.expr)}"
-    return f"expect {print_expr(stmt.expr)} = {format_negset(stmt.target)}"
+    text = f"{_KIND[type(stmt)]} {print_expr(stmt.expr)}"
+    return f"{text} = {format_negset(stmt.target)}" if isinstance(stmt, Expect) else text
 
 
 def print_session(script: SessionScript) -> str:
@@ -542,7 +516,7 @@ def negset_json(a: NegotiationSet) -> dict:
 
 # --- evaluation ---
 
-@dataclass
+@dataclass(slots=True)
 class StatementResult:
     kind: str
     source: str
@@ -633,17 +607,12 @@ class _Evaluator:
             value, _ = self.eval(e.operand)
             return core.complement(value), None
         if isinstance(e, Binary):
-            left, lprov = self.eval(e.left)
-            right, rprov = self.eval(e.right)
-            if e.op == "minus":
-                return core.difference(left, right), None
-            if e.op == "union":
-                return core.union_all([left, right]), None
-            if e.op == "inter":
-                return core.inter_all([left, right]), None
-            if e.op == "oplus":
-                return core.oplus(left, right), None
-            return self._odot_step(left, lprov, right, rprov), None
+            leaf, spine = _left_spine(e)
+            acc, prov = self.eval(leaf)
+            for node in spine:
+                right, rprov = self.eval(node.right)
+                acc, prov = self._apply(node.op, acc, prov, right, rprov), None
+            return acc, None
         # n-ary
         pairs = [self.eval(item) for item in e.items]
         values = [v for v, _ in pairs]
@@ -665,6 +634,17 @@ class _Evaluator:
         value, prov = self.eval(stmt.expr)
         self.env[stmt.name] = (value, prov)
         return value
+
+    def _apply(self, op, left, lprov, right, rprov) -> NegotiationSet:
+        if op == "minus":
+            return core.difference(left, right)
+        if op == "union":
+            return core.union_all([left, right])
+        if op == "inter":
+            return core.inter_all([left, right])
+        if op == "oplus":
+            return core.oplus(left, right)
+        return self._odot_step(left, lprov, right, rprov)
 
     def _odot_step(self, left, lprov, right, rprov) -> NegotiationSet:
         if self.spec.empty:
@@ -710,50 +690,29 @@ def run_session(script: SessionScript) -> SessionReport:
     ev = _Evaluator(script.spec, script.policy, dict(script.agents))
     report = SessionReport(universe=script.universe)
     for stmt in script.statements:
-        source = print_statement(stmt)
         ev.notes = []
-        kind = {Let: "let", Eval: "eval", AssertDisc: "assert_disc", Expect: "expect"}[type(stmt)]
+        kind = _KIND[type(stmt)]
         try:
             if isinstance(stmt, Let):
                 value = ev.bind(stmt)
-                report.results.append(
-                    StatementResult(kind, f"let {stmt.name}", True, value, notes=tuple(ev.notes))
-                )
-            elif isinstance(stmt, Eval):
-                value, _ = ev.eval(stmt.expr)
-                report.results.append(
-                    StatementResult(kind, f"eval {print_expr(stmt.expr)}", True, value,
-                                    notes=tuple(ev.notes))
-                )
-            elif isinstance(stmt, AssertDisc):
-                value, _ = ev.eval(stmt.expr)
-                violations = disc_violations(value, ev.spec)
-                report.results.append(
-                    StatementResult(
-                        kind,
-                        f"assert_disc {print_expr(stmt.expr)}",
-                        not violations,
-                        value,
-                        detail="; ".join(str(v) for v in violations),
-                        notes=tuple(ev.notes),
-                    )
-                )
+                source = f"let {stmt.name}"
             else:
                 value, _ = ev.eval(stmt.expr)
-                ok = value == stmt.target
-                detail = "" if ok else (
-                    f"expected {format_negset(stmt.target)} got {format_negset(value)}"
-                )
-                report.results.append(
-                    StatementResult(
-                        kind, f"expect {print_expr(stmt.expr)}", ok, value,
-                        detail=detail, notes=tuple(ev.notes),
-                    )
-                )
-        except NegsetError as exc:
+                source = f"{kind} {print_expr(stmt.expr)}"
+            ok, detail = True, ""
+            if isinstance(stmt, AssertDisc):
+                violations = disc_violations(value, ev.spec)
+                ok, detail = not violations, "; ".join(str(v) for v in violations)
+            elif isinstance(stmt, Expect) and value != stmt.target:
+                ok = False
+                detail = f"expected {format_negset(stmt.target)} got {format_negset(value)}"
             report.results.append(
-                StatementResult(kind, source, False, detail=str(exc), notes=tuple(ev.notes))
+                StatementResult(kind, source, ok, value, detail, tuple(ev.notes))
             )
+        except NegsetError as exc:
+            report.results.append(StatementResult(
+                kind, print_statement(stmt), False, detail=str(exc), notes=tuple(ev.notes)
+            ))
             report.halted = True
             report.halt_reason = str(exc)
             report.halt_kind = (

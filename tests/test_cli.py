@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,10 +130,14 @@ class TestCheck:
         (None, 4, "error: [Errno 2] No such file or directory"),
         ("universe a\nagent A = [{a} {}]\n", 2, "error: line 2: agent A:"),
         ("universe a\nagent A = [{a}\n", 2, "error: 2:15: expected '{'"),
+        (b"universe a\xff b\n", 2,
+         "error: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
     ])
     def test_load_errors_match_eval(self, tmp_path, text, code, message):
         path = tmp_path / "script.ns"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         for command in ("eval", "check"):
             got, out, err = run([command, str(path)])
@@ -241,3 +248,52 @@ class TestFixtures:
         assert code == 0
         doc = json.loads(out)
         assert all(f["passed"] for f in doc["fixtures"])
+
+
+class TestDeepChain:
+    @pytest.fixture
+    def script(self, tmp_path):
+        chain = " odot ".join("AB"[i % 2] for i in range(3000))
+        path = tmp_path / "chain.ns"
+        path.write_text(
+            "universe a b c\nagent A = [{a} {a b}]\nagent B = [{a c} {a c}]\n"
+            f"let S = {chain}\neval {chain}\n"
+        )
+        return path
+
+    def test_eval(self, script):
+        code, out, err = run(["eval", str(script)])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "let S = [{a} {a b c}]"
+        assert lines[1].startswith("eval " + "(" * 2998 + "A odot B) odot A)")
+        assert lines[1].endswith(") odot B = [{a} {a b c}]")
+
+    def test_eval_json(self, script):
+        code, out, _ = run(["eval", "--json", str(script)])
+        assert code == 0
+        values = [s["value"] for s in json.loads(out)["statements"]]
+        assert values == [{"necessity": ["a"], "admissibility": ["a", "b", "c"]}] * 2
+
+    def test_check(self, script):
+        code, out, _ = run(["check", str(script)])
+        assert code == 0
+        assert out.splitlines()[-1] == "S = [{a} {a b c}]: DISC"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["eval", str(SESSIONS / "trip.ns")],
+        ["laws", "--all"],
+    ])
+    def test_exits_141_without_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "negset.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")

@@ -166,6 +166,14 @@ class TestRoundTrip:
     def test_corpus_is_large_enough(self):
         assert len(corpus()) >= 20
 
+    def test_relations_are_compared_views_of_the_spec(self):
+        base = "universe a b c\nagent A = [{} {a}]\nstrong c a\nweak c b\ndominance c > a\n"
+        script = parse_session(base + "strong b a\n")
+        assert script.strong == (("a", "b"), ("a", "c"))
+        assert script.weak == (("b", "c"),)
+        assert script.dominance == (("c", "a"),)
+        assert script != parse_session(base)
+
 
 class TestEvaluation:
     def test_trip_report(self):
@@ -300,3 +308,45 @@ class TestEvaluatorAgreesWithAlgebra:
             env = {"A": rand_set(), "B": rand_set(), "C": rand_set()}
             expr = rand_expr(3)
             assert ns.eval_expr(expr, env, spec) == direct(expr, env), print_expr(expr)
+
+
+class TestDeepChains:
+    """A left-deep chain is evaluated and printed without one call per term."""
+
+    TERMS = 3000
+
+    def chain(self):
+        expr = NameRef("A")
+        for i in range(1, self.TERMS):
+            expr = Binary("odot", expr, NameRef("AB"[i % 2]))
+        return expr
+
+    @staticmethod
+    def spine(expr):
+        # dataclass equality recurses once per level, so compare the spines flat
+        ops = []
+        while isinstance(expr, Binary):
+            ops.append((expr.op, expr.right))
+            expr = expr.left
+        return expr, ops
+
+    def test_print_expr_round_trips(self):
+        chain = self.chain()
+        text = print_expr(chain)
+        assert text.startswith("(" * (self.TERMS - 2) + "A odot B) odot A) odot B)")
+        script = parse_session(
+            f"universe a b\nagent A = [{{a}} {{a}}]\nagent B = [{{b}} {{b}}]\neval {text}\n"
+        )
+        (stmt,) = script.statements
+        assert self.spine(stmt.expr) == self.spine(chain)
+        assert print_expr(stmt.expr) == text
+
+    def test_evaluates_to_one_odot(self):
+        script = parse_session(
+            "universe a b c\nagent A = [{a} {a b}]\nagent B = [{a c} {a c}]\n"
+            f"let S = {print_expr(self.chain())}\n"
+        )
+        report = run_session(script)
+        a, b = (value for _, value in script.agents)
+        assert report.all_ok
+        assert report.results[0].value == ns.odot(a, b)

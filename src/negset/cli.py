@@ -221,6 +221,12 @@ def main(argv: list[str] | None = None) -> int:
     except NegsetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RecursionError:
+        # the parser reports nesting deeper than its own recursion reaches; an
+        # expression that parsed within a few levels of that can still
+        # overflow when evaluated, before anything is written
+        print("error: expression nested too deeply", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

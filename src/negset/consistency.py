@@ -228,7 +228,8 @@ def _apply_drops(result: NegotiationSet, spec: ContradictionSpec, dropped: set[s
     drop_mask = u.mask_of(dropped)
     # conflict locality: strong violators never sit in the necessity range of a
     # DISC-input minimalization, so only the admissibility range shrinks
-    assert result.necessity.mask & drop_mask == 0
+    if result.necessity.mask & drop_mask:
+        raise AssertionError("resolution would drop a necessary object")
     repaired = NegotiationSet(
         result.necessity, FiniteSet(u, result.admissibility.mask & ~drop_mask)
     )
@@ -256,7 +257,8 @@ def resolve_odot(
     if not violations:
         return Resolved(result)
     # weak violations cannot arise from DISC operands
-    assert all(v.kind == STRONG_IN_ADMISSIBILITY for v in violations)
+    if any(v.kind != STRONG_IN_ADMISSIBILITY for v in violations):
+        raise AssertionError("minimalization of DISC operands has a weak violation")
     pairs = tuple(v.pair for v in violations)
 
     if isinstance(policy, Strict):

@@ -71,9 +71,12 @@ class Universe:
         return (1 << len(self.objects)) - 1
 
     def mask_of(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.index(name)
+        index, mask = self._index, 0
+        try:
+            for name in names:
+                mask |= 1 << index[name]
+        except KeyError as exc:
+            raise UnknownObject(exc.args[0]) from None
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:

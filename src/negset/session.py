@@ -24,12 +24,14 @@ complement; ``odot(A, B, C)`` etc. are the n-ary forms.
 
 from __future__ import annotations
 
-import json as _json
 import re
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable
 
 from . import core
-from .core import NegotiationSet, Universe, make_universe, negset_of
+from .core import NegotiationSet, Universe, iter_bits, make_universe, negset_of
 from .consistency import (
     AgentPriority,
     ContradictionSpec,
@@ -152,33 +154,34 @@ class SessionScript:
 
 # --- lexer ---
 
-# A symbol, a name, a comment, or any other non-space character, which is an
-# error.  \w and \s follow str.isalnum and str.isspace.
-_TOKEN = re.compile(r"([()\[\]{},=>])|([\w.-]+)|(#)|(\S)")
-_KINDS = (None, "SYM", "NAME")
+# A token is a plain string: a symbol, a name, or "\n" for the end of a line.
+# \w and \s follow str.isalnum and str.isspace; a comment runs from "#" to the
+# end of its line.
+_TOKEN = re.compile(r"[()\[\]{},=>]|[\w.-]+|\n")
+_COMMENT = re.compile(r"#[^\n]*")
+_STRAY = re.compile(r"[^\w\s()\[\]{},=>.-]")
+_SYMBOLS = frozenset("()[]{},=>")
+_NOT_NAMES = _SYMBOLS | {"\n", ""}  # "" marks the end of the text
 
-# A token is (kind, value, line, column); kind is SYM, NAME, NEWLINE or EOF.
-Token = tuple[str, str, int, int]
+
+def _lex(text: str) -> tuple[list[str], str]:
+    """The tokens of ``text``, and the text without comments that they were read from.
+
+    A line end is appended to the text, so that every statement ends with
+    one, and "" to the token list.
+    """
+    code = (_COMMENT.sub("", text) if "#" in text else text) + "\n"
+    stray = _STRAY.search(code)
+    if stray:
+        line, col = _line_col(code, stray.start())
+        raise ParseError(line, col, f"unexpected character {stray.group()!r}")
+    tokens = _TOKEN.findall(code)
+    tokens.append("")
+    return tokens, code
 
 
-def _lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        first = len(tokens)
-        for match in _TOKEN.finditer(line):
-            group = match.lastindex
-            if group == 3:
-                break
-            if group == 4:
-                raise ParseError(lineno, match.start() + 1,
-                                 f"unexpected character {match.group()!r}")
-            tokens.append((_KINDS[group], match.group(), lineno, match.start() + 1))
-        if len(tokens) > first:
-            tokens.append(("NEWLINE", "", lineno, len(line) + 1))
-    # two sentinels, so that peek(1) needs no bounds check
-    eof = ("EOF", "", text.count("\n") + 1, 1)
-    tokens += (eof, eof)
-    return tokens
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # --- parser ---
@@ -187,45 +190,56 @@ _FIXED_POLICIES = {p.name: p for p in (Strict(), ObjectDominance(), FewestNecess
 _RELATIONS = ("strong", "weak", "dominance")
 _STATEMENTS = {"universe", "agent", "policy", *_RELATIONS, "let", "eval", "assert_disc", "expect"}
 
-# Only a SYM token's value is a symbol, and only a NAME token's value is a
-# word, so most checks below compare values alone.
-
 
 class _Parser:
+    """Reads the token list with an index; positions are worked out only for an error."""
+
     def __init__(self, text: str):
-        self.tokens = _lex(text)
+        self.text = text
+        self.tokens, self.code = _lex(text)
         self.pos = 0
+        self.line = 1  # the current line: one more than the line ends read
         self.refs: list[str] = []  # names referenced since the last reset, in source order
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def position(self, index: int) -> tuple[int, int]:
+        """Line and column of token ``index``, from a scan of the text up to it.
 
-    def fail(self, message: str) -> "ParseError":
-        _, _, line, col = self.peek()
+        Only a statement can start at the end of the text, so no error is
+        reported there.
+        """
+        match = next(islice(_TOKEN.finditer(self.code), index, None))
+        line, col = _line_col(self.code, match.start())
+        if match.group() == "\n":  # just past the line as written, comment included
+            col = len(self.text.split("\n")[line - 1]) + 1
+        return line, col
+
+    def fail(self, message: str, index: int | None = None) -> ParseError:
+        line, col = self.position(self.pos if index is None else index)
         return ParseError(line, col, message)
 
-    def expected(self, what: str) -> "ParseError":
-        kind, value, _, _ = self.peek()
-        return self.fail(f"expected {what}, found {value or kind!r}")
+    def expected(self, what: str) -> ParseError:
+        token = self.tokens[self.pos]
+        found = "NEWLINE" if token == "\n" else token
+        return self.fail(f"expected {what}, found {found!r}")
 
     def expect_sym(self, sym: str) -> None:
-        if self.peek()[1] != sym:
+        if self.tokens[self.pos] != sym:
             raise self.expected(repr(sym))
         self.pos += 1
 
     def expect_name(self, what: str = "name") -> str:
-        kind, value, _, _ = self.peek()
-        if kind != "NAME":
+        token = self.tokens[self.pos]
+        if token in _NOT_NAMES:
             raise self.expected(what)
         self.pos += 1
-        return value
+        return token
 
     def end_line(self) -> None:
-        kind, value, _, _ = self.peek()
-        if kind == "NEWLINE":
-            self.pos += 1
-        elif kind != "EOF":
-            raise self.fail(f"unexpected trailing token {value!r}")
+        token = self.tokens[self.pos]
+        if token != "\n":
+            raise self.fail(f"unexpected trailing token {token!r}")
+        self.pos += 1
+        self.line += 1
 
     def binding(self, what: str, line: int) -> str:
         """The bound name of ``agent``/``let``, up to and including the ``=``."""
@@ -239,10 +253,16 @@ class _Parser:
 
     def parse_set_literal(self) -> list[str]:
         self.expect_sym("{")
-        names = []
-        while self.peek()[1] != "}":
-            names.append(self.expect_name("object name"))
-        self.pos += 1
+        tokens, start = self.tokens, self.pos
+        try:
+            end = tokens.index("}", start)
+        except ValueError:
+            end = len(tokens)
+        names = tokens[start:end]
+        if not _NOT_NAMES.isdisjoint(names):
+            self.pos = start + [name in _NOT_NAMES for name in names].index(True)
+            raise self.expected("object name")
+        self.pos = end + 1
         return names
 
     def parse_negset_literal(self) -> tuple[list[str], list[str]]:
@@ -258,13 +278,14 @@ class _Parser:
         # Opening parentheses wrap the left operand, so they are counted here
         # rather than recursed into: a printed left-deep chain
         # ((A odot B) odot C) odot D parses in one loop.
+        tokens = self.tokens
         opened = 0
-        while self.peek()[1] == "(":
+        while tokens[self.pos] == "(":
             self.pos += 1
             opened += 1
         left = self.parse_term()
         while True:
-            op = self.peek()[1]
+            op = tokens[self.pos]
             if op in BINARY_OPS:
                 self.pos += 1
                 left = Binary(op, left, self.parse_term())
@@ -278,44 +299,49 @@ class _Parser:
         return left
 
     def parse_term(self) -> Expr:
-        kind, value, _, _ = self.peek()
-        if value == "(":
+        tokens = self.tokens
+        start = self.pos
+        while tokens[self.pos] == "not":  # a run of nots is read with a loop, too
             self.pos += 1
-            inner = self.parse_expr()
+        nots = self.pos - start
+        token = tokens[self.pos]
+        if token == "(":
+            self.pos += 1
+            term = self.parse_expr()
             self.expect_sym(")")
-            return inner
-        if value == "not":
-            self.pos += 1
-            return Complement(self.parse_term())
-        if value in NARY_OPS and self.peek(1)[1] == "(":
+        elif token in NARY_OPS and tokens[self.pos + 1] == "(":
             self.pos += 2
             items = [self.parse_expr()]
-            while self.peek()[1] == ",":
+            while tokens[self.pos] == ",":
                 self.pos += 1
                 items.append(self.parse_expr())
             self.expect_sym(")")
-            return Nary(value, tuple(items))
-        if kind == "NAME":
-            if value in KEYWORDS:
-                raise self.fail(f"keyword {value!r} cannot be used as a name")
+            term = Nary(token, tuple(items))
+        elif token in _NOT_NAMES:
+            raise self.expected("expression")
+        elif token in KEYWORDS:
+            raise self.fail(f"keyword {token!r} cannot be used as a name")
+        else:
             self.pos += 1
-            self.refs.append(value)
-            return NameRef(value)
-        raise self.expected("expression")
+            self.refs.append(token)
+            term = NameRef(token)
+        for _ in range(nots):
+            term = Complement(term)
+        return term
 
     def parse_policy(self) -> ResolutionPolicy:
-        _, _, line, col = self.peek()
+        start = self.pos
         name = self.expect_name("policy name")
         if name == "agent-priority":
             ranking = [self.expect_name("agent name")]
-            while self.peek()[1] == ">":
+            while self.tokens[self.pos] == ">":
                 self.pos += 1
                 ranking.append(self.expect_name("agent name"))
             return AgentPriority(tuple(ranking))
         try:
             return _FIXED_POLICIES[name]
         except KeyError:
-            raise ParseError(line, col, f"unknown policy {name!r}") from None
+            raise self.fail(f"unknown policy {name!r}", start) from None
 
 
 def parse_session(text: str) -> SessionScript:
@@ -330,11 +356,15 @@ def parse_session(text: str) -> SessionScript:
     statements: list[Statement] = []
     known_names: set[str] = set()
 
+    tokens = p.tokens
     while True:
-        kind, keyword, line, _ = p.peek()
-        if kind == "EOF":
+        while tokens[p.pos] == "\n":  # a blank line
+            p.pos += 1
+            p.line += 1
+        keyword, line = tokens[p.pos], p.line
+        if not keyword:
             break
-        if kind != "NAME":
+        if keyword in _SYMBOLS:
             raise p.fail(f"expected statement keyword, found {keyword!r}")
         if universe is None and keyword != "universe":
             raise ValidationError("the universe must be declared first", line)
@@ -345,7 +375,7 @@ def parse_session(text: str) -> SessionScript:
             if universe is not None:
                 raise ValidationError("duplicate universe declaration", line)
             names = []
-            while p.peek()[0] == "NAME":
+            while tokens[p.pos] not in _NOT_NAMES:
                 names.append(p.expect_name())
             p.end_line()
             try:
@@ -381,7 +411,12 @@ def parse_session(text: str) -> SessionScript:
         else:  # let, eval, assert_disc, expect
             name = p.binding("binding name", line) if keyword == "let" else None
             p.refs = []
-            expr = p.parse_expr()
+            start = p.pos
+            try:
+                expr = p.parse_expr()
+            except RecursionError:
+                # nesting on the right and the n-ary forms still take one call per level
+                raise p.fail("expression nested too deeply", start) from None
             if keyword == "expect":
                 p.expect_sym("=")
                 nec, adm = p.parse_negset_literal()
@@ -460,20 +495,24 @@ def _left_spine(e: Expr) -> tuple[Expr, list[Binary]]:
 
 
 def print_expr(e: Expr) -> str:
-    def wrap(child: Expr) -> str:
-        text = print_expr(child)
-        return f"({text})" if isinstance(child, Binary) else text
-
-    # a left spine prints as "((x op r1) op r2) op r3"
+    # A left spine prints as "((x op r1) op r2) op r3" and a run of nots as
+    # "not not x", each with a loop; a right operand takes one call per level.
     e, spine = _left_spine(e)
+    nots = 0
+    while isinstance(e, Complement):
+        e = e.operand
+        nots += 1
     if isinstance(e, NameRef):
         text = e.name
-    elif isinstance(e, Complement):
-        text = f"not {wrap(e.operand)}"
-    else:
-        text = f"{e.op}({', '.join(print_expr(i) for i in e.items)})"
-    steps = ")".join(f" {node.op} {wrap(node.right)}" for node in spine)
-    return "(" * (len(spine) - 1) + text + steps
+    elif isinstance(e, Nary):
+        text = f"{e.op}({', '.join([print_expr(i) for i in e.items])})"
+    else:  # a Binary under a not
+        text = f"({print_expr(e)})"
+    steps = []
+    for node in spine:
+        right = print_expr(node.right)
+        steps.append(f" {node.op} ({right})" if isinstance(node.right, Binary) else f" {node.op} {right}")
+    return "(" * (len(spine) - 1) + "not " * nots + text + ")".join(steps)
 
 
 def print_policy(policy: ResolutionPolicy) -> str:
@@ -558,26 +597,43 @@ class SessionReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        """The text ``json.dumps(doc, indent=2) + "\\n"`` gives for the report's
+        document, written directly: each object name is encoded once, and each
+        name list is one join."""
+        quoted = [_quote(name) for name in self.universe.objects]
+
+        def names(mask: int) -> str:
+            return _json_array(map(quoted.__getitem__, iter_bits(mask)), " " * 10)
+
         statements = []
         for r in self.results:
-            entry = {
-                "kind": r.kind,
-                "source": r.source,
-                "ok": r.ok,
-                "value": negset_json(r.value) if r.value is not None else None,
-                "detail": r.detail,
-                "notes": list(r.notes),
-            }
-            statements.append(entry)
-        doc = {
-            "universe": list(self.universe.objects),
-            "statements": statements,
-            "halted": self.halted,
-            "halt_reason": self.halt_reason,
-            "halt_kind": self.halt_kind,
-            "ok": self.all_ok,
-        }
-        return _json.dumps(doc, indent=2, sort_keys=False) + "\n"
+            if r.value is None:
+                value = "null"
+            else:
+                value = (f'{{\n        "necessity": {names(r.value.necessity.mask)},\n'
+                         f'        "admissibility": {names(r.value.admissibility.mask)}\n      }}')
+            statements.append(
+                f'{{\n      "kind": {_quote(r.kind)},\n      "source": {_quote(r.source)},\n'
+                f'      "ok": {_JSON_BOOL[r.ok]},\n      "value": {value},\n'
+                f'      "detail": {_quote(r.detail)},\n'
+                f'      "notes": {_json_array(map(_quote, r.notes), " " * 8)}\n    }}'
+            )
+        return (
+            f'{{\n  "universe": {_json_array(quoted, "    ")},\n'
+            f'  "statements": {_json_array(statements, "    ")},\n'
+            f'  "halted": {_JSON_BOOL[self.halted]},\n  "halt_reason": {_quote(self.halt_reason)},\n'
+            f'  "halt_kind": {_quote(self.halt_kind)},\n  "ok": {_JSON_BOOL[self.all_ok]}\n}}\n'
+        )
+
+
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_array(items: Iterable[str], indent: str) -> str:
+    """A JSON array of encoded items, laid out as ``json.dumps(indent=2)`` lays
+    it out with its items at ``indent``."""
+    body = f",\n{indent}".join(items)
+    return f"[\n{indent}{body}\n{indent[2:]}]" if body else "[]"
 
 
 class _Evaluator:
@@ -598,37 +654,40 @@ class _Evaluator:
         self.notes: list[str] = []
 
     def eval(self, e: Expr) -> tuple[NegotiationSet, str | None]:
+        nots = 0
+        while isinstance(e, Complement):  # a run of nots is one loop
+            e = e.operand
+            nots += 1
         if isinstance(e, NameRef):
             try:
-                return self.env[e.name]
+                value, prov = self.env[e.name]
             except KeyError:
                 raise UnboundName(e.name) from None
-        if isinstance(e, Complement):
-            value, _ = self.eval(e.operand)
-            return core.complement(value), None
-        if isinstance(e, Binary):
+        elif isinstance(e, Binary):
             leaf, spine = _left_spine(e)
-            acc, prov = self.eval(leaf)
+            value, prov = self.eval(leaf)
             for node in spine:
                 right, rprov = self.eval(node.right)
-                acc, prov = self._apply(node.op, acc, prov, right, rprov), None
-            return acc, None
-        # n-ary
-        pairs = [self.eval(item) for item in e.items]
-        values = [v for v, _ in pairs]
-        if e.op == "union":
-            return core.union_all(values), None
-        if e.op == "inter":
-            return core.inter_all(values), None
-        if e.op == "oplus":
-            return core.oplus_all(values), None
-        if self.spec.empty:
-            return core.odot_all(values), None
-        acc, prov = pairs[0]
-        for value, vprov in pairs[1:]:
-            acc = self._odot_step(acc, prov, value, vprov)
+                value, prov = self._apply(node.op, value, prov, right, rprov), None
+        else:  # n-ary
+            pairs = [self.eval(item) for item in e.items]
+            values = [v for v, _ in pairs]
+            if e.op == "union":
+                value = core.union_all(values)
+            elif e.op == "inter":
+                value = core.inter_all(values)
+            elif e.op == "oplus":
+                value = core.oplus_all(values)
+            elif self.spec.empty:
+                value = core.odot_all(values)
+            else:
+                value, prov = pairs[0]
+                for right, rprov in pairs[1:]:
+                    value, prov = self._odot_step(value, prov, right, rprov), None
             prov = None
-        return acc, None
+        for _ in range(nots):
+            value, prov = core.complement(value), None
+        return value, prov
 
     def bind(self, stmt: Let) -> NegotiationSet:
         value, prov = self.eval(stmt.expr)

@@ -281,6 +281,56 @@ class TestDeepChain:
         assert out.splitlines()[-1] == "S = [{a} {a b c}]: DISC"
 
 
+class TestDeepNesting:
+    """A run of nots is read, evaluated and printed with loops; nesting that is
+    too deep for the recursive forms ends in one error line with exit code 2."""
+
+    HEAD = "universe a b c\nagent A = [{a} {a b}]\nagent B = [{a c} {a c}]\n"
+    NOTS = "not " * 2001 + "A"
+
+    def write(self, tmp_path, expr):
+        path = tmp_path / "deep.ns"
+        path.write_text(f"{self.HEAD}let S = {expr}\neval {expr}\n")
+        return str(path)
+
+    def test_not_run_eval(self, tmp_path):
+        code, out, err = run(["eval", self.write(tmp_path, self.NOTS)])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["let S = [{c} {b c}]", f"eval {self.NOTS} = [{{c}} {{b c}}]"]
+
+    def test_not_run_eval_json(self, tmp_path):
+        code, out, _ = run(["eval", "--json", self.write(tmp_path, self.NOTS)])
+        assert code == 0
+        values = [s["value"] for s in json.loads(out)["statements"]]
+        assert values == [{"necessity": ["c"], "admissibility": ["b", "c"]}] * 2
+
+    def test_not_run_check(self, tmp_path):
+        code, out, _ = run(["check", self.write(tmp_path, self.NOTS)])
+        assert code == 0
+        assert out.splitlines()[-1] == "S = [{c} {b c}]: DISC"
+
+    @pytest.mark.parametrize("expr", [
+        "A odot (" * 1500 + "B" + ")" * 1500,
+        "odot(A, " * 1500 + "B" + ")" * 1500,
+        "not (" * 1500 + "B" + ")" * 1500,
+    ], ids=["right", "nary", "not-paren"])
+    @pytest.mark.parametrize("argv", [["eval"], ["eval", "--json"], ["check"]])
+    def test_too_deep_is_one_error_line(self, tmp_path, expr, argv):
+        code, out, err = run([*argv, self.write(tmp_path, expr)])
+        assert (code, out, err) == (2, "", "error: 4:9: expression nested too deeply\n")
+
+    @pytest.mark.parametrize("command,target", [("eval", "run_session"), ("check", "eval_bindings")])
+    def test_overflow_after_parsing_is_one_error_line(self, monkeypatch, command, target):
+        # an expression that parsed within a few levels of the limit can
+        # still overflow when evaluated
+        def overflow(*args):
+            raise RecursionError
+
+        monkeypatch.setattr(cli, target, overflow)
+        code, out, err = run([command, str(SESSIONS / "trip.ns")])
+        assert (code, out, err) == (2, "", "error: expression nested too deeply\n")
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         ["eval", str(SESSIONS / "trip.ns")],

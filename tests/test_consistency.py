@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import negset as ns
+from negset import consistency
 from negset.consistency import (
     STRONG_IN_ADMISSIBILITY,
     WEAK_WITH_NECESSITY,
@@ -221,6 +222,32 @@ class TestResolveOdot:
         good = ns.negset_of(u, [], ["a"])
         outcome = ns.resolve_odot(a, good, spec, Strict())
         assert outcome.ok and outcome.result == ns.odot(a, good)
+
+
+class TestInvariantChecks:
+    """Resolution checks its two invariants with code that ``python -O`` keeps.
+
+    Neither can break on DISC operands, so each test lets non-DISC operands
+    past the input check.
+    """
+
+    @pytest.fixture
+    def any_input(self, monkeypatch):
+        monkeypatch.setattr(consistency, "is_disc", lambda a, spec: True)
+
+    def test_dropping_a_necessary_object_raises(self, any_input):
+        u = u2()
+        spec = ns.make_contradiction_spec(u, strong_pairs=[("a", "b")], dominance_pairs=[("b", "a")])
+        a = ns.negset_of(u, ["a"], ["a", "b"])  # necessary a sits in a strong pair
+        with pytest.raises(AssertionError, match="drop a necessary object"):
+            ns.resolve_odot(a, a, spec, ObjectDominance())
+
+    def test_weak_violation_after_minimalization_raises(self, any_input):
+        u = u2()
+        spec = ns.make_contradiction_spec(u, weak_pairs=[("a", "b")])
+        a = ns.negset_of(u, ["a"], ["a", "b"])
+        with pytest.raises(AssertionError, match="weak violation"):
+            ns.resolve_odot(a, a, spec, Strict())
 
 
 @st.composite

@@ -3,12 +3,14 @@
 Each case is one malformed script and the single ``error: ...`` line that
 ``negset eval`` and ``negset check`` print for it, with exit code 2.  The
 table pins the lexer, parser and validation paths, and which error wins
-when a script has two.  A property test then feeds the parser arbitrary
+when a script has two.  Property tests then feed the parser arbitrary
 text.
 """
 
+import ast
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -152,3 +154,41 @@ def test_any_text_parses_or_raises_and_round_trips(text):
     except (ParseError, ValidationError):
         return
     assert parse_session(print_session(script)) == script
+
+
+# A ParseError that names what it found: the quoted text is the last thing
+# in the message, or comes right after "keyword".
+_NAMED = re.compile(r"(character|found|token|keyword|policy) ('.*'|\".*\")(?: cannot be used as a name)?$")
+_TOKEN_AT = re.compile(r"[()\[\]{},=>]|[\w.-]+")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet="ab AB{}[]()=>,#\n\t\r\u00e9@'"),
+    st.lists(st.sampled_from(_FRAGMENTS + ["#c", "@", "\u00e9"])).map("".join),
+    st.lists(st.sampled_from(_FRAGMENTS + ["#c"])).map(lambda parts: U + "".join(parts)),
+))
+def test_error_position_points_at_the_named_token(text):
+    """A parse error's line:col, worked out only when it is raised, is at the
+    token its message names; a line end is just past the line as written,
+    comment included."""
+    try:
+        parse_session(text)
+    except ParseError as exc:
+        error = exc
+    except ValidationError:
+        return
+    else:
+        return
+    match = _NAMED.search(error.reason)
+    assert match, error.reason
+    kind, named = match.group(1), ast.literal_eval(match.group(2))
+    line = text.split("\n")[error.line - 1]
+    rest = line[error.col - 1:]
+    if kind == "character":
+        assert rest[:1] == named
+    elif rest:
+        assert _TOKEN_AT.match(rest).group() == named
+    else:
+        assert (named, error.col) == ("NEWLINE", len(line) + 1)

@@ -16,7 +16,10 @@ from negset.session import (
     NameRef,
     Nary,
     ParseError,
+    SessionReport,
+    StatementResult,
     ValidationError,
+    negset_json,
     parse_session,
     print_expr,
     print_session,
@@ -262,6 +265,62 @@ class TestEvaluation:
         assert set(entry) == {"kind", "source", "ok", "value", "detail", "notes"}
         assert entry["value"]["necessity"] == ["a"]
         assert entry["value"]["admissibility"] == list("abdfghikl")
+
+
+class TestJsonWriter:
+    """``to_json`` writes the text ``json.dumps(indent=2)`` gives for the report's document."""
+
+    @staticmethod
+    def dumped(report):
+        doc = {
+            "universe": list(report.universe.objects),
+            "statements": [
+                {
+                    "kind": r.kind,
+                    "source": r.source,
+                    "ok": r.ok,
+                    "value": negset_json(r.value) if r.value is not None else None,
+                    "detail": r.detail,
+                    "notes": list(r.notes),
+                }
+                for r in report.results
+            ],
+            "halted": report.halted,
+            "halt_reason": report.halt_reason,
+            "halt_kind": report.halt_kind,
+            "ok": report.all_ok,
+        }
+        return json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SESSIONS.glob("*.ns")))
+    def test_every_example_session(self, name):
+        report = run_session(parse_session((SESSIONS / name).read_text()))
+        assert report.to_json() == self.dumped(report)
+
+    def test_halted_report_with_notes(self):
+        report = run_session(parse_session((SESSIONS / "disc_dominance.ns").read_text()))
+        assert any(r.notes for r in report.results)
+        report = run_session(parse_session((SESSIONS / "disc_fail_strict.ns").read_text()))
+        assert report.halted and report.to_json() == self.dumped(report)
+
+    def test_empty_report(self):
+        report = SessionReport(universe=ns.make_universe(["a"]))
+        assert report.to_json() == self.dumped(report)
+
+    def test_non_ascii_names_and_escapes(self):
+        script = parse_session(
+            "universe \u00e9 b \u4e2d\nagent \u00c9 = [{\u00e9} {\u00e9 \u4e2d}]\n"
+            "agent B = [{} {}]\nlet S = \u00c9 union B\nexpect S = [{} {}]\n"
+        )
+        report = run_session(script)
+        assert report.to_json() == self.dumped(report)
+        assert '"\\u00e9"' in report.to_json()
+        u = script.universe
+        report.results.append(StatementResult(
+            "eval", 'eval "\\ \u00e9', False, ns.negset_of(u, [], []), "tab\there\n", ("a\"b", "\x00")
+        ))
+        report.halted, report.halt_reason, report.halt_kind = True, "\u4e2d \"x\"", "error"
+        assert report.to_json() == self.dumped(report)
 
 
 class TestEvaluatorAgreesWithAlgebra:

@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import oracle
 from .consistency import disc_violations, make_contradiction_spec
@@ -18,7 +19,8 @@ from .session import (
     eval_bindings,
     eval_expr,  # noqa: F401  kept as cli.eval_expr, which perfbench/tracing.py spans
     format_negset,
-    negset_json,
+    json_array,
+    json_negset,
     parse_session,
     run_session,
 )
@@ -70,22 +72,7 @@ def cmd_check(path: str, as_json: bool, out=None, err=None) -> int:
         all_ok &= not violations
         entries.append((name, value, violations))
     if as_json:
-        doc = {
-            "universe": list(script.universe.objects),
-            "sets": [
-                {
-                    "name": name,
-                    "value": negset_json(value),
-                    "disc": not violations,
-                    "violations": [
-                        {"kind": v.kind, "pair": list(v.pair)} for v in violations
-                    ],
-                }
-                for name, value, violations in entries
-            ],
-            "ok": all_ok,
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_check_json(script, entries, all_ok))
     else:
         for name, value, violations in entries:
             if violations:
@@ -94,6 +81,26 @@ def cmd_check(path: str, as_json: bool, out=None, err=None) -> int:
             else:
                 out.write(f"{name} = {format_negset(value)}: DISC\n")
     return EXIT_OK if all_ok else EXIT_FAILED_CHECKS
+
+
+def _check_json(script: SessionScript, entries, all_ok: bool) -> str:
+    """The text ``json.dumps(doc, indent=2) + "\\n"`` gives for the check
+    report's document, written directly as ``SessionReport.to_json`` writes its own."""
+    quoted = [_quote(name) for name in script.universe.objects]
+    sets = []
+    for name, value, violations in entries:
+        found = [
+            f'{{\n          "kind": {_quote(v.kind)},\n'
+            f'          "pair": {json_array(map(_quote, v.pair), " " * 12)}\n        }}'
+            for v in violations
+        ]
+        sets.append(
+            f'{{\n      "name": {_quote(name)},\n      "value": {json_negset(value, quoted)},\n'
+            f'      "disc": {json.dumps(not violations)},\n'
+            f'      "violations": {json_array(found, " " * 8)}\n    }}'
+        )
+    return (f'{{\n  "universe": {json_array(quoted, "    ")},\n'
+            f'  "sets": {json_array(sets, "    ")},\n  "ok": {json.dumps(all_ok)}\n}}\n')
 
 
 def _law_line(report: oracle.LawReport) -> str:
@@ -221,12 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     except NegsetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RecursionError:
-        # the parser reports nesting deeper than its own recursion reaches; an
-        # expression that parsed within a few levels of that can still
-        # overflow when evaluated, before anything is written
-        print("error: expression nested too deeply", file=sys.stderr)
-        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
@@ -207,8 +206,9 @@ def negset_of(universe: Universe, necessity: Iterable[str], admissibility: Itera
     return NegotiationSet(FiniteSet.of(universe, necessity), FiniteSet.of(universe, admissibility))
 
 
-# The mask arithmetic of the three operators, on (necessity, admissibility)
-# mask pairs.  The operators below and the law oracle's sweeps both use it.
+# The mask arithmetic of every operator, on (necessity, admissibility) mask
+# pairs.  The operators below, the session evaluator and the law oracle's
+# sweeps all use it.
 
 def odot_masks(nec1: int, adm1: int, nec2: int, adm2: int) -> tuple[int, int]:
     """Minimalization: the necessities meet, the admissibilities join."""
@@ -226,6 +226,19 @@ def complement_masks(full: int, nec: int, adm: int) -> tuple[int, int]:
     return full & ~adm, full & ~nec
 
 
+def union_masks(nec1: int, adm1: int, nec2: int, adm2: int) -> tuple[int, int]:
+    return nec1 | nec2, adm1 | adm2
+
+
+def inter_masks(nec1: int, adm1: int, nec2: int, adm2: int) -> tuple[int, int]:
+    return nec1 & nec2, adm1 & adm2
+
+
+def difference_masks(nec1: int, adm1: int, nec2: int, adm2: int) -> tuple[int, int]:
+    """[N1 - A2, A1 - N2]: what the first set needs or admits that the second rules out."""
+    return nec1 & ~adm2, adm1 & ~nec2
+
+
 def _from_masks(u: Universe, nec: int, adm: int) -> NegotiationSet:
     return NegotiationSet(FiniteSet(u, nec), FiniteSet(u, adm))
 
@@ -236,7 +249,7 @@ def complement(a: NegotiationSet) -> NegotiationSet:
 
 
 def difference(a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
-    return NegotiationSet(a.necessity - b.admissibility, a.admissibility - b.necessity)
+    return _fold(difference_masks, [a, b])
 
 
 def included(a: NegotiationSet, b: NegotiationSet, mode: InclusionMode = InclusionMode.FULL) -> bool:
@@ -259,28 +272,20 @@ def _family(family: Sequence[NegotiationSet]) -> Sequence[NegotiationSet]:
     return family
 
 
-def union_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
-    family = _family(family)
-    nec = reduce(lambda m, a: m | a.necessity.mask, family, 0)
-    adm = reduce(lambda m, a: m | a.admissibility.mask, family, 0)
-    u = family[0].universe
-    return NegotiationSet(FiniteSet(u, nec), FiniteSet(u, adm))
-
-
-def inter_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
-    family = _family(family)
-    u = family[0].universe
-    nec = reduce(lambda m, a: m & a.necessity.mask, family, u.full_mask)
-    adm = reduce(lambda m, a: m & a.admissibility.mask, family, u.full_mask)
-    return NegotiationSet(FiniteSet(u, nec), FiniteSet(u, adm))
-
-
 def _fold(masks_op, family: Sequence[NegotiationSet]) -> NegotiationSet:
     family = _family(family)
     nec, adm = family[0].necessity.mask, family[0].admissibility.mask
     for a in family[1:]:
         nec, adm = masks_op(nec, adm, a.necessity.mask, a.admissibility.mask)
     return _from_masks(family[0].universe, nec, adm)
+
+
+def union_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
+    return _fold(union_masks, family)
+
+
+def inter_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
+    return _fold(inter_masks, family)
 
 
 def odot_all(family: Sequence[NegotiationSet]) -> NegotiationSet:

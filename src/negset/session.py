@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from . import core
-from .core import NegotiationSet, Universe, iter_bits, make_universe, negset_of
+from .core import FiniteSet, NegotiationSet, Universe, iter_bits, make_universe, negset_of
 from .consistency import (
     AgentPriority,
     ContradictionSpec,
@@ -43,7 +43,7 @@ from .consistency import (
     make_contradiction_spec,
     resolve_odot,
 )
-from .errors import InputNotDisc, NegsetError, NotDouble, UnknownObject
+from .errors import InputNotDisc, NegsetError, NotDouble, UniverseMismatch, UnknownObject
 
 BINARY_OPS = ("odot", "oplus", "union", "inter", "minus")
 NARY_OPS = ("odot", "oplus", "union", "inter")
@@ -81,53 +81,33 @@ class ResolutionFailed(NegsetError):
         self.pairs = pairs
 
 
-# --- AST ---
+# --- statements ---
 
-@dataclass(frozen=True)
-class NameRef:
-    name: str
-
-
-@dataclass(frozen=True)
-class Complement:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Nary:
-    op: str
-    items: tuple["Expr", ...]
-
-
-Expr = NameRef | Complement | Binary | Nary
+# An expression is kept as a postfix program: a tuple of names, "not", binary
+# operator names and ("op", k) for an n-ary form over the k values before it.
+# A name is never a keyword, so a string item is told apart by comparison.
+Program = tuple
 
 
 @dataclass(frozen=True)
 class Let:
     name: str
-    expr: Expr
+    expr: Program
 
 
 @dataclass(frozen=True)
 class Eval:
-    expr: Expr
+    expr: Program
 
 
 @dataclass(frozen=True)
 class AssertDisc:
-    expr: Expr
+    expr: Program
 
 
 @dataclass(frozen=True)
 class Expect:
-    expr: Expr
+    expr: Program
     target: NegotiationSet
 
 
@@ -199,7 +179,6 @@ class _Parser:
         self.tokens, self.code = _lex(text)
         self.pos = 0
         self.line = 1  # the current line: one more than the line ends read
-        self.refs: list[str] = []  # names referenced since the last reset, in source order
 
     def position(self, index: int) -> tuple[int, int]:
         """Line and column of token ``index``, from a scan of the text up to it.
@@ -274,60 +253,63 @@ class _Parser:
 
     # expressions
 
-    def parse_expr(self) -> Expr:
-        # Opening parentheses wrap the left operand, so they are counted here
-        # rather than recursed into: a printed left-deep chain
-        # ((A odot B) odot C) odot D parses in one loop.
-        tokens = self.tokens
-        opened = 0
-        while tokens[self.pos] == "(":
-            self.pos += 1
-            opened += 1
-        left = self.parse_term()
-        while True:
-            op = tokens[self.pos]
-            if op in BINARY_OPS:
-                self.pos += 1
-                left = Binary(op, left, self.parse_term())
-            elif opened and op == ")":
-                self.pos += 1
-                opened -= 1
-            else:
-                break
-        if opened:
-            self.expect_sym(")")  # raises: the expression ended inside a parenthesis
-        return left
+    def parse_expr(self) -> Program:
+        """One expression as a postfix program, read with one loop.
 
-    def parse_term(self) -> Expr:
-        tokens = self.tokens
-        start = self.pos
-        while tokens[self.pos] == "not":  # a run of nots is read with a loop, too
-            self.pos += 1
-        nots = self.pos - start
-        token = tokens[self.pos]
-        if token == "(":
-            self.pos += 1
-            term = self.parse_expr()
-            self.expect_sym(")")
-        elif token in NARY_OPS and tokens[self.pos + 1] == "(":
-            self.pos += 2
-            items = [self.parse_expr()]
-            while tokens[self.pos] == ",":
-                self.pos += 1
-                items.append(self.parse_expr())
-            self.expect_sym(")")
-            term = Nary(token, tuple(items))
-        elif token in _NOT_NAMES:
-            raise self.expected("expression")
-        elif token in KEYWORDS:
-            raise self.fail(f"keyword {token!r} cannot be used as a name")
-        else:
-            self.pos += 1
-            self.refs.append(token)
-            term = NameRef(token)
-        for _ in range(nots):
-            term = Complement(term)
-        return term
+        An open group, "(" or "op(", waits on a stack with the nots read
+        before it and the binary operator it is the right operand of; both
+        follow the group into the program when it closes.
+        """
+        tokens, pos = self.tokens, self.pos
+        program: list = []
+        groups: list[list] = []  # [n-ary op or None, items so far, nots, operator]
+        nots, waiting = 0, None  # the same two for the term being read
+        while True:
+            token = tokens[pos]
+            if token == "not":
+                nots += 1
+                pos += 1
+                continue
+            if token == "(" or (token in NARY_OPS and tokens[pos + 1] == "("):
+                nary = token != "("
+                groups.append([token if nary else None, 1, nots, waiting])
+                pos += 1 + nary
+                nots, waiting = 0, None
+                continue
+            if token in _NOT_NAMES:
+                self.pos = pos
+                raise self.expected("expression")
+            if token in KEYWORDS:
+                raise self.fail(f"keyword {token!r} cannot be used as a name", pos)
+            program.append(token)
+            pos += 1
+            while True:  # a term is complete; a closing group completes one more
+                if nots:
+                    program += ["not"] * nots
+                if waiting:
+                    program.append(waiting)
+                token = tokens[pos]
+                if token in BINARY_OPS:
+                    nots, waiting = 0, token
+                    pos += 1
+                    break
+                if not groups:
+                    self.pos = pos
+                    return tuple(program)
+                group = groups[-1]
+                if token == "," and group[0]:
+                    group[1] += 1
+                    nots, waiting = 0, None
+                    pos += 1
+                    break
+                if token != ")":
+                    self.pos = pos
+                    raise self.expected("')'")
+                groups.pop()
+                pos += 1
+                if group[0]:
+                    program.append((group[0], group[1]))
+                nots, waiting = group[2], group[3]
 
     def parse_policy(self) -> ResolutionPolicy:
         start = self.pos
@@ -410,22 +392,16 @@ def parse_session(text: str) -> SessionScript:
             p.end_line()
         else:  # let, eval, assert_disc, expect
             name = p.binding("binding name", line) if keyword == "let" else None
-            p.refs = []
-            start = p.pos
-            try:
-                expr = p.parse_expr()
-            except RecursionError:
-                # nesting on the right and the n-ary forms still take one call per level
-                raise p.fail("expression nested too deeply", start) from None
+            expr = p.parse_expr()
             if keyword == "expect":
                 p.expect_sym("=")
                 nec, adm = p.parse_negset_literal()
             p.end_line()
             if name in known_names:
                 raise ValidationError(f"duplicate name {name!r}", line)
-            for ref in p.refs:
-                if ref not in known_names:
-                    raise ValidationError(f"unknown name {ref!r}", line)
+            for item in expr:
+                if item not in known_names and item.__class__ is str and item not in KEYWORDS:
+                    raise ValidationError(f"unknown name {item!r}", line)
             if keyword == "let":
                 statements.append(Let(name, expr))
                 known_names.add(name)
@@ -481,38 +457,38 @@ def format_negset(a: NegotiationSet) -> str:
     return str(a)
 
 
-def _left_spine(e: Expr) -> tuple[Expr, list[Binary]]:
-    """The innermost left operand of ``e`` and the ``Binary`` nodes above it, lowest first.
-
-    Left-deep chains are walked with this loop rather than one call per term.
-    """
-    spine = []
-    while isinstance(e, Binary):
-        spine.append(e)
-        e = e.left
-    spine.reverse()
-    return e, spine
-
-
-def print_expr(e: Expr) -> str:
-    # A left spine prints as "((x op r1) op r2) op r3" and a run of nots as
-    # "not not x", each with a loop; a right operand takes one call per level.
-    e, spine = _left_spine(e)
-    nots = 0
-    while isinstance(e, Complement):
-        e = e.operand
-        nots += 1
-    if isinstance(e, NameRef):
-        text = e.name
-    elif isinstance(e, Nary):
-        text = f"{e.op}({', '.join([print_expr(i) for i in e.items])})"
-    else:  # a Binary under a not
-        text = f"({print_expr(e)})"
-    steps = []
-    for node in spine:
-        right = print_expr(node.right)
-        steps.append(f" {node.op} ({right})" if isinstance(node.right, Binary) else f" {node.op} {right}")
-    return "(" * (len(spine) - 1) + "not " * nots + text + ")".join(steps)
+def print_expr(program: Program) -> str:
+    """Canonical text of a program, built with one loop over a stack of
+    (text, text as an operand) entries, each a string or nested pieces, and
+    joined once.  Only an infix form is parenthesized as an operand, and only
+    as an operand of an infix form or of ``not``."""
+    stack: list = []
+    for item in program:
+        if item.__class__ is tuple:
+            op, k = item
+            pieces = [f"{op}("]
+            for piece, _ in stack[-k:]:
+                pieces += (piece, ", ")
+            pieces[-1] = ")"
+            del stack[-k:]
+            stack.append((pieces, pieces))
+        elif item == "not":
+            pieces = ["not ", stack.pop()[1]]
+            stack.append((pieces, pieces))
+        elif item in BINARY_OPS:
+            right, left = stack.pop()[1], stack.pop()[1]
+            pieces = [left, f" {item} ", right]
+            stack.append((pieces, ["(", pieces, ")"]))
+        else:
+            stack.append((item, item))
+    out, todo = [], [stack[0][0]]  # the nested pieces, flattened in order
+    while todo:
+        piece = todo.pop()
+        if piece.__class__ is str:
+            out.append(piece)
+        else:
+            todo += reversed(piece)
+    return "".join(out)
 
 
 def print_policy(policy: ResolutionPolicy) -> str:
@@ -543,14 +519,6 @@ def print_session(script: SessionScript) -> str:
     for stmt in script.statements:
         lines.append(print_statement(stmt))
     return "\n".join(lines) + "\n"
-
-
-def negset_json(a: NegotiationSet) -> dict:
-    """The JSON form of a negotiation set in every report: both ranges as name lists."""
-    return {
-        "necessity": list(a.necessity.names()),
-        "admissibility": list(a.admissibility.names()),
-    }
 
 
 # --- evaluation ---
@@ -601,26 +569,18 @@ class SessionReport:
         document, written directly: each object name is encoded once, and each
         name list is one join."""
         quoted = [_quote(name) for name in self.universe.objects]
-
-        def names(mask: int) -> str:
-            return _json_array(map(quoted.__getitem__, iter_bits(mask)), " " * 10)
-
         statements = []
         for r in self.results:
-            if r.value is None:
-                value = "null"
-            else:
-                value = (f'{{\n        "necessity": {names(r.value.necessity.mask)},\n'
-                         f'        "admissibility": {names(r.value.admissibility.mask)}\n      }}')
+            value = "null" if r.value is None else json_negset(r.value, quoted)
             statements.append(
                 f'{{\n      "kind": {_quote(r.kind)},\n      "source": {_quote(r.source)},\n'
                 f'      "ok": {_JSON_BOOL[r.ok]},\n      "value": {value},\n'
                 f'      "detail": {_quote(r.detail)},\n'
-                f'      "notes": {_json_array(map(_quote, r.notes), " " * 8)}\n    }}'
+                f'      "notes": {json_array(map(_quote, r.notes), " " * 8)}\n    }}'
             )
         return (
-            f'{{\n  "universe": {_json_array(quoted, "    ")},\n'
-            f'  "statements": {_json_array(statements, "    ")},\n'
+            f'{{\n  "universe": {json_array(quoted, "    ")},\n'
+            f'  "statements": {json_array(statements, "    ")},\n'
             f'  "halted": {_JSON_BOOL[self.halted]},\n  "halt_reason": {_quote(self.halt_reason)},\n'
             f'  "halt_kind": {_quote(self.halt_kind)},\n  "ok": {_JSON_BOOL[self.all_ok]}\n}}\n'
         )
@@ -629,106 +589,104 @@ class SessionReport:
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json_array(items: Iterable[str], indent: str) -> str:
+def json_array(items: Iterable[str], indent: str) -> str:
     """A JSON array of encoded items, laid out as ``json.dumps(indent=2)`` lays
     it out with its items at ``indent``."""
     body = f",\n{indent}".join(items)
     return f"[\n{indent}{body}\n{indent[2:]}]" if body else "[]"
 
 
-class _Evaluator:
-    """Bottom-up evaluator; tracks single-agent provenance for priority policies."""
+def json_negset(value: NegotiationSet, quoted: list[str]) -> str:
+    """The ``{"necessity", "admissibility"}`` object of every report, as name
+    lists, laid out for a field of an array item; ``quoted`` holds the
+    universe's object names, JSON-encoded, in index order."""
+    def names(mask: int) -> str:
+        return json_array(map(quoted.__getitem__, iter_bits(mask)), " " * 10)
 
-    def __init__(
-        self,
-        spec: ContradictionSpec,
-        policy: ResolutionPolicy,
-        env: dict[str, NegotiationSet],
-    ):
-        self.spec = spec
-        self.policy = policy
+    return (f'{{\n        "necessity": {names(value.necessity.mask)},\n'
+            f'        "admissibility": {names(value.admissibility.mask)}\n      }}')
+
+
+_MASK_OPS = {"odot": core.odot_masks, "oplus": core.oplus_masks, "union": core.union_masks,
+             "inter": core.inter_masks, "minus": core.difference_masks}
+
+
+class _Evaluator:
+    """Runs programs with one loop over a stack of (necessity mask,
+    admissibility mask, provenance) entries.
+
+    The provenance is the single agent a value comes from, for priority
+    policies; only a bare name keeps it.
+    """
+
+    def __init__(self, spec: ContradictionSpec, policy: ResolutionPolicy, env: dict[str, NegotiationSet]):
+        self.spec, self.policy, self.universe = spec, policy, spec.universe
+        if any(value.universe != self.universe for value in env.values()):
+            raise UniverseMismatch("bindings and contradiction spec over different universes")
         # every name in env is an agent, its own provenance
-        self.env: dict[str, tuple[NegotiationSet, str | None]] = {
-            name: (value, name) for name, value in env.items()
-        }
+        self.env = {name: (v.necessity.mask, v.admissibility.mask, name) for name, v in env.items()}
         self.notes: list[str] = []
 
-    def eval(self, e: Expr) -> tuple[NegotiationSet, str | None]:
-        nots = 0
-        while isinstance(e, Complement):  # a run of nots is one loop
-            e = e.operand
-            nots += 1
-        if isinstance(e, NameRef):
-            try:
-                value, prov = self.env[e.name]
-            except KeyError:
-                raise UnboundName(e.name) from None
-        elif isinstance(e, Binary):
-            leaf, spine = _left_spine(e)
-            value, prov = self.eval(leaf)
-            for node in spine:
-                right, rprov = self.eval(node.right)
-                value, prov = self._apply(node.op, value, prov, right, rprov), None
-        else:  # n-ary
-            pairs = [self.eval(item) for item in e.items]
-            values = [v for v, _ in pairs]
-            if e.op == "union":
-                value = core.union_all(values)
-            elif e.op == "inter":
-                value = core.inter_all(values)
-            elif e.op == "oplus":
-                value = core.oplus_all(values)
-            elif self.spec.empty:
-                value = core.odot_all(values)
+    def run(self, program: Program) -> tuple[int, int, str | None]:
+        """The entry of a program's value; operands are evaluated left to
+        right, and every n-ary item before the fold."""
+        env, stack, full = self.env, [], self.universe.full_mask
+        for item in program:
+            if item.__class__ is tuple:
+                op, k = item
+                left, *items = stack[-k:]
+                del stack[-k:]
+                for right in items:
+                    left = (*self.apply(op, left, right), None)
+                stack.append((*left[:2], None))
+            elif item == "not":
+                nec, adm, _ = stack.pop()
+                stack.append((*core.complement_masks(full, nec, adm), None))
+            elif item in _MASK_OPS:
+                right = stack.pop()
+                stack.append((*self.apply(item, stack.pop(), right), None))
             else:
-                value, prov = pairs[0]
-                for right, rprov in pairs[1:]:
-                    value, prov = self._odot_step(value, prov, right, rprov), None
-            prov = None
-        for _ in range(nots):
-            value, prov = core.complement(value), None
-        return value, prov
+                try:
+                    stack.append(env[item])
+                except KeyError:
+                    raise UnboundName(item) from None
+        return stack[0]
 
-    def bind(self, stmt: Let) -> NegotiationSet:
-        value, prov = self.eval(stmt.expr)
-        self.env[stmt.name] = (value, prov)
-        return value
-
-    def _apply(self, op, left, lprov, right, rprov) -> NegotiationSet:
-        if op == "minus":
-            return core.difference(left, right)
-        if op == "union":
-            return core.union_all([left, right])
-        if op == "inter":
-            return core.inter_all([left, right])
-        if op == "oplus":
-            return core.oplus(left, right)
-        return self._odot_step(left, lprov, right, rprov)
-
-    def _odot_step(self, left, lprov, right, rprov) -> NegotiationSet:
-        if self.spec.empty:
-            return core.odot(left, right)
-        outcome = resolve_odot(left, right, self.spec, self.policy, (lprov, rprov))
+    def apply(self, op: str, left, right) -> tuple[int, int]:
+        """One step of ``op`` on two entries; ``odot`` goes through the policy
+        when the spec declares relations."""
+        if op != "odot" or self.spec.empty:
+            return _MASK_OPS[op](left[0], left[1], right[0], right[1])
+        outcome = resolve_odot(
+            self.value(left), self.value(right), self.spec, self.policy, (left[2], right[2])
+        )
         if not outcome.ok:
             raise ResolutionFailed(outcome.reason, outcome.pairs)
         if outcome.dropped:
-            dropped = " ".join(sorted(outcome.dropped, key=self.spec.universe.index))
+            dropped = " ".join(sorted(outcome.dropped, key=self.universe.index))
             self.notes.append(f"dropped {{{dropped}}}")
-        return outcome.result
+        return outcome.result.necessity.mask, outcome.result.admissibility.mask
+
+    def value(self, entry) -> NegotiationSet:
+        return NegotiationSet(FiniteSet(self.universe, entry[0]), FiniteSet(self.universe, entry[1]))
+
+    def bind(self, stmt: Let) -> NegotiationSet:
+        entry = self.env[stmt.name] = self.run(stmt.expr)
+        return self.value(entry)
 
 
 def eval_expr(
-    e: Expr,
+    program: Program,
     env: dict[str, NegotiationSet],
     spec: ContradictionSpec,
     policy: ResolutionPolicy = Strict(),
 ) -> NegotiationSet:
-    """Evaluate one expression against a plain name environment.
+    """Evaluate one program against a plain name environment over the spec's universe.
 
     Every name in ``env`` is treated as an agent for provenance purposes.
     """
-    value, _ = _Evaluator(spec, policy, env).eval(e)
-    return value
+    ev = _Evaluator(spec, policy, env)
+    return ev.value(ev.run(program))
 
 
 def eval_bindings(
@@ -756,7 +714,7 @@ def run_session(script: SessionScript) -> SessionReport:
                 value = ev.bind(stmt)
                 source = f"let {stmt.name}"
             else:
-                value, _ = ev.eval(stmt.expr)
+                value = ev.value(ev.run(stmt.expr))
                 source = f"{kind} {print_expr(stmt.expr)}"
             ok, detail = True, ""
             if isinstance(stmt, AssertDisc):

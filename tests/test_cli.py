@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from negset import cli
+from negset.consistency import disc_violations, make_contradiction_spec
+from negset.session import eval_bindings, parse_session
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -143,6 +145,51 @@ class TestCheck:
             got, out, err = run([command, str(path)])
             assert (got, out) == (code, "")
             assert err.startswith(message)
+
+
+class TestCheckJson:
+    """``check --json`` writes the text ``json.dumps(indent=2)`` gives for its document."""
+
+    @staticmethod
+    def dumped(path):
+        script = parse_session(Path(path).read_text(encoding="utf-8"))
+        ungated = make_contradiction_spec(script.universe)
+        entries = [(name, value, disc_violations(value, script.spec))
+                   for name, value in eval_bindings(script, ungated)]
+        doc = {
+            "universe": list(script.universe.objects),
+            "sets": [
+                {
+                    "name": name,
+                    "value": {
+                        "necessity": list(value.necessity.names()),
+                        "admissibility": list(value.admissibility.names()),
+                    },
+                    "disc": not violations,
+                    "violations": [{"kind": v.kind, "pair": list(v.pair)} for v in violations],
+                }
+                for name, value, violations in entries
+            ],
+            "ok": not any(violations for _, _, violations in entries),
+        }
+        return json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SESSIONS.glob("*.ns")))
+    def test_every_example_session(self, name):
+        _, out, _ = run(["check", "--json", str(SESSIONS / name)])
+        assert out == self.dumped(SESSIONS / name)
+
+    def test_non_ascii_names(self, tmp_path):
+        path = tmp_path / "names.ns"
+        path.write_text(
+            "universe \u00e9 b \u4e2d\nagent \u00c9 = [{\u00e9} {\u00e9 \u4e2d b}]\n"
+            "agent B = [{b} {b}]\nstrong \u00e9 b\nlet S = \u00c9 union B\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(["check", "--json", str(path)])
+        assert code == 1
+        assert out == self.dumped(path)
+        assert '"\\u00e9"' in out and '"\\u00c9"' in out
 
 
 class TestSpecBuilds:
@@ -282,8 +329,8 @@ class TestDeepChain:
 
 
 class TestDeepNesting:
-    """A run of nots is read, evaluated and printed with loops; nesting that is
-    too deep for the recursive forms ends in one error line with exit code 2."""
+    """A run of nots and nesting on the right, in the n-ary forms and under
+    ``not`` are read, evaluated and printed at any depth."""
 
     HEAD = "universe a b c\nagent A = [{a} {a b}]\nagent B = [{a c} {a c}]\n"
     NOTS = "not " * 2001 + "A"
@@ -309,26 +356,27 @@ class TestDeepNesting:
         assert code == 0
         assert out.splitlines()[-1] == "S = [{c} {b c}]: DISC"
 
-    @pytest.mark.parametrize("expr", [
-        "A odot (" * 1500 + "B" + ")" * 1500,
-        "odot(A, " * 1500 + "B" + ")" * 1500,
-        "not (" * 1500 + "B" + ")" * 1500,
+    DEPTH = 3 * sys.getrecursionlimit()
+
+    @pytest.mark.parametrize("expr,nec,adm", [
+        ("A odot (" * DEPTH + "B" + ")" * DEPTH, ["a"], ["a", "b", "c"]),
+        ("odot(A, " * DEPTH + "B" + ")" * DEPTH, ["a"], ["a", "b", "c"]),
+        ("not (" * DEPTH + "B" + ")" * DEPTH, ["a", "c"], ["a", "c"]),
     ], ids=["right", "nary", "not-paren"])
     @pytest.mark.parametrize("argv", [["eval"], ["eval", "--json"], ["check"]])
-    def test_too_deep_is_one_error_line(self, tmp_path, expr, argv):
+    def test_too_deep_is_one_error_line(self, tmp_path, expr, nec, adm, argv):
+        # nesting far past the recursion limit is no error: every command succeeds
         code, out, err = run([*argv, self.write(tmp_path, expr)])
-        assert (code, out, err) == (2, "", "error: 4:9: expression nested too deeply\n")
-
-    @pytest.mark.parametrize("command,target", [("eval", "run_session"), ("check", "eval_bindings")])
-    def test_overflow_after_parsing_is_one_error_line(self, monkeypatch, command, target):
-        # an expression that parsed within a few levels of the limit can
-        # still overflow when evaluated
-        def overflow(*args):
-            raise RecursionError
-
-        monkeypatch.setattr(cli, target, overflow)
-        code, out, err = run([command, str(SESSIONS / "trip.ns")])
-        assert (code, out, err) == (2, "", "error: expression nested too deeply\n")
+        assert (code, err) == (0, "")
+        value = f"[{{{' '.join(nec)}}} {{{' '.join(adm)}}}]"
+        if argv == ["eval"]:
+            let, evaluated = out.splitlines()
+            assert let == f"let S = {value}" and evaluated.endswith(f" = {value}")
+        elif argv == ["check"]:
+            assert out.splitlines()[-1] == f"S = {value}: DISC"
+        else:
+            values = [s["value"] for s in json.loads(out)["statements"]]
+            assert values == [{"necessity": nec, "admissibility": adm}] * 2
 
 
 class TestClosedStdout:

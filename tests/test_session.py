@@ -5,21 +5,17 @@ from pathlib import Path
 import pytest
 
 import negset as ns
+from negset import cli
 from negset.consistency import AgentPriority, FewestNecessities, ObjectDominance, Strict
 from negset.session import (
     AssertDisc,
-    Binary,
-    Complement,
     Eval,
     Expect,
     Let,
-    NameRef,
-    Nary,
     ParseError,
     SessionReport,
     StatementResult,
     ValidationError,
-    negset_json,
     parse_session,
     print_expr,
     print_session,
@@ -38,24 +34,35 @@ class TestParsing:
         assert len(script.universe) == 11
         lets = [s for s in script.statements if isinstance(s, Let)]
         assert [s.name for s in lets] == ["S1", "S2", "S3"]
-        assert lets[0].expr == Binary("odot", Binary("odot", NameRef("A"), NameRef("B")),
-                                      NameRef("C"))
+        assert lets[0].expr == ("A", "B", "odot", "C", "odot")
 
     def test_left_associative_chain(self):
         script = parse_session("universe a\nagent A = [{} {a}]\neval A odot A oplus A\n")
         (stmt,) = script.statements
-        assert stmt.expr == Binary("oplus", Binary("odot", NameRef("A"), NameRef("A")),
-                                   NameRef("A"))
+        assert stmt.expr == ("A", "A", "odot", "A", "oplus")
 
     def test_nary_call(self):
         script = parse_session("universe a\nagent A = [{} {a}]\neval odot(A, A, A)\n")
         (stmt,) = script.statements
-        assert stmt.expr == Nary("odot", (NameRef("A"),) * 3)
+        assert stmt.expr == ("A", "A", "A", ("odot", 3))
 
     def test_not_binds_tighter_than_infix(self):
         script = parse_session("universe a\nagent A = [{} {a}]\neval not A odot A\n")
         (stmt,) = script.statements
-        assert stmt.expr == Binary("odot", Complement(NameRef("A")), NameRef("A"))
+        assert stmt.expr == ("A", "not", "A", "odot")
+
+    @pytest.mark.parametrize("text,program", [
+        ("(A)", ("A",)),
+        ("not not A", ("A", "not", "not")),
+        ("not (A odot A)", ("A", "A", "odot", "not")),
+        ("A odot (A oplus A)", ("A", "A", "A", "oplus", "odot")),
+        ("odot(A, not A) minus (A)", ("A", "A", "not", ("odot", 2), "A", "minus")),
+        ("not union((A), A inter A)", ("A", "A", "A", "inter", ("union", 2), "not")),
+    ])
+    def test_groups_and_nots(self, text, program):
+        script = parse_session(f"universe a\nagent A = [{{}} {{a}}]\neval {text}\n")
+        (stmt,) = script.statements
+        assert stmt.expr == program
 
     def test_policy_variants(self):
         base = "universe a\nagent A = [{} {a}]\nagent B = [{} {}]\n"
@@ -207,14 +214,28 @@ class TestEvaluation:
         assert report.all_ok
         assert report.results[0].notes == ("dropped {b}",)
 
-    def test_agent_priority_through_binding_provenance(self):
+    @pytest.mark.parametrize("binding,halts", [
+        ("A", False),
+        ("(A)", False),
+        ("odot(A)", True),
+        ("not not A", True),
+    ], ids=["name", "paren", "nary", "not-not"])
+    def test_agent_priority_through_binding_provenance(self, tmp_path, binding, halts):
+        # only a bare name carries its agent's provenance into the binding
         text = (
             "universe a b\nagent A = [{a} {a}]\nagent B = [{b} {b}]\n"
             "strong a b\npolicy agent-priority B > A\n"
-            "let X = A\nlet R = X odot B\nexpect R = [{} {b}]\n"
+            f"let X = {binding}\nlet R = X odot B\nexpect R = [{{}} {{b}}]\n"
         )
         report = run_session(parse_session(text))
-        assert report.all_ok
+        path = tmp_path / "priority.ns"
+        path.write_text(text)
+        code = cli.main(["eval", str(path)])
+        if halts:
+            assert report.halt_reason == "resolution failed: ambiguous provenance [(a, b)]"
+            assert code == 3
+        else:
+            assert report.all_ok and code == 0
 
     def test_agent_priority_coalition_operand_fails(self):
         text = (
@@ -279,7 +300,10 @@ class TestJsonWriter:
                     "kind": r.kind,
                     "source": r.source,
                     "ok": r.ok,
-                    "value": negset_json(r.value) if r.value is not None else None,
+                    "value": None if r.value is None else {
+                        "necessity": list(r.value.necessity.names()),
+                        "admissibility": list(r.value.admissibility.names()),
+                    },
                     "detail": r.detail,
                     "notes": list(r.notes),
                 }
@@ -324,70 +348,68 @@ class TestJsonWriter:
 
 
 class TestEvaluatorAgreesWithAlgebra:
+    BASE = "universe a b c\nagent A = [{} {}]\nagent B = [{} {}]\nagent C = [{} {}]\n"
+
     def test_random_expressions_without_relations(self):
         rng = random.Random(7)
         u = ns.make_universe(["a", "b", "c"])
+        binary = {
+            "odot": ns.odot, "oplus": ns.oplus,
+            "union": lambda x, y: ns.union_all([x, y]),
+            "inter": lambda x, y: ns.inter_all([x, y]),
+            "minus": ns.difference,
+        }
+        nary = {"odot": ns.odot_all, "oplus": ns.oplus_all,
+                "union": ns.union_all, "inter": ns.inter_all}
 
         def rand_set():
             adm = rng.randrange(u.full_mask + 1)
             nec = rng.randrange(u.full_mask + 1) & adm
             return ns.NegotiationSet(ns.FiniteSet(u, nec), ns.FiniteSet(u, adm))
 
+        def operand(text, infix):
+            # an infix operand needs its parentheses; any other may have some
+            return f"({text})" if infix or rng.random() < 0.2 else text
+
         def rand_expr(depth):
+            """Source text, whether it is an infix form, and its value by core's operators."""
             if depth == 0 or rng.random() < 0.3:
-                return NameRef(rng.choice(["A", "B", "C"]))
+                name = rng.choice("ABC")
+                return name, False, env[name]
             kind = rng.randrange(3)
             if kind == 0:
-                return Complement(rand_expr(depth - 1))
+                text, infix, value = rand_expr(depth - 1)
+                return f"not {operand(text, infix)}", False, ns.complement(value)
             if kind == 1:
-                op = rng.choice(["odot", "oplus", "union", "inter", "minus"])
-                return Binary(op, rand_expr(depth - 1), rand_expr(depth - 1))
-            op = rng.choice(["odot", "oplus", "union", "inter"])
-            return Nary(op, tuple(rand_expr(depth - 1) for _ in range(rng.randint(1, 3))))
-
-        def direct(e, env):
-            if isinstance(e, NameRef):
-                return env[e.name]
-            if isinstance(e, Complement):
-                return ns.complement(direct(e.operand, env))
-            if isinstance(e, Binary):
-                l, r = direct(e.left, env), direct(e.right, env)
-                return {
-                    "odot": ns.odot, "oplus": ns.oplus,
-                    "union": lambda x, y: ns.union_all([x, y]),
-                    "inter": lambda x, y: ns.inter_all([x, y]),
-                    "minus": ns.difference,
-                }[e.op](l, r)
-            vals = [direct(i, env) for i in e.items]
-            return {"odot": ns.odot_all, "oplus": ns.oplus_all,
-                    "union": ns.union_all, "inter": ns.inter_all}[e.op](vals)
+                op = rng.choice(sorted(binary))
+                (ltext, linfix, left), (rtext, rinfix, right) = rand_expr(depth - 1), rand_expr(depth - 1)
+                # the operators associate to the left, so a left chain may go bare
+                ltext = operand(ltext, False) if linfix and rng.random() < 0.5 else ltext
+                return f"{ltext} {op} {operand(rtext, rinfix)}", True, binary[op](left, right)
+            op = rng.choice(sorted(nary))
+            items = [rand_expr(depth - 1) for _ in range(rng.randint(1, 3))]
+            return f"{op}({', '.join(t for t, _, _ in items)})", False, nary[op]([v for *_, v in items])
 
         spec = ns.make_contradiction_spec(u)
         for _ in range(300):
             env = {"A": rand_set(), "B": rand_set(), "C": rand_set()}
-            expr = rand_expr(3)
-            assert ns.eval_expr(expr, env, spec) == direct(expr, env), print_expr(expr)
+            text, _, value = rand_expr(3)
+            (stmt,) = parse_session(f"{self.BASE}eval {text}\n").statements
+            (again,) = parse_session(f"{self.BASE}eval {print_expr(stmt.expr)}\n").statements
+            assert again.expr == stmt.expr, text
+            assert ns.eval_expr(stmt.expr, env, spec) == value, text
 
 
 class TestDeepChains:
-    """A left-deep chain is evaluated and printed without one call per term."""
+    """A left-deep chain is evaluated and printed at any length."""
 
     TERMS = 3000
 
     def chain(self):
-        expr = NameRef("A")
+        program = ["A"]
         for i in range(1, self.TERMS):
-            expr = Binary("odot", expr, NameRef("AB"[i % 2]))
-        return expr
-
-    @staticmethod
-    def spine(expr):
-        # dataclass equality recurses once per level, so compare the spines flat
-        ops = []
-        while isinstance(expr, Binary):
-            ops.append((expr.op, expr.right))
-            expr = expr.left
-        return expr, ops
+            program += ("AB"[i % 2], "odot")
+        return tuple(program)
 
     def test_print_expr_round_trips(self):
         chain = self.chain()
@@ -397,7 +419,7 @@ class TestDeepChains:
             f"universe a b\nagent A = [{{a}} {{a}}]\nagent B = [{{b}} {{b}}]\neval {text}\n"
         )
         (stmt,) = script.statements
-        assert self.spine(stmt.expr) == self.spine(chain)
+        assert stmt.expr == chain
         assert print_expr(stmt.expr) == text
 
     def test_evaluates_to_one_odot(self):
@@ -409,3 +431,24 @@ class TestDeepChains:
         a, b = (value for _, value in script.agents)
         assert report.all_ok
         assert report.results[0].value == ns.odot(a, b)
+
+
+class TestDeepNesting:
+    """Nesting on the right, in the n-ary forms and under ``not`` parses,
+    evaluates and prints at any depth under the default recursion limit."""
+
+    DEPTH = 100_000
+
+    @pytest.mark.parametrize("expr,value", [
+        ("A odot (" * DEPTH + "B" + ")" * DEPTH, "[{a} {a b c}]"),
+        ("odot(A, " * DEPTH + "B" + ")" * DEPTH, "[{a} {a b c}]"),
+        ("not (" * DEPTH + "B" + ")" * DEPTH, "[{a c} {a c}]"),
+    ], ids=["right", "nary", "not-paren"])
+    def test_parses_evaluates_and_round_trips(self, expr, value):
+        script = parse_session(
+            f"universe a b c\nagent A = [{{a}} {{a b}}]\nagent B = [{{a c}} {{a c}}]\nlet S = {expr}\n"
+        )
+        report = run_session(script)
+        assert report.all_ok
+        assert str(report.results[0].value) == value
+        assert parse_session(print_session(script)) == script

@@ -30,6 +30,7 @@ EXIT_FAILED_CHECKS = 1
 EXIT_PARSE = 2
 EXIT_RESOLUTION = 3
 EXIT_CONFIG = 4
+EXIT_INTERNAL = 70  # EX_SOFTWARE: a defect in negset, not in its input
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
@@ -239,6 +240,9 @@ def entry() -> None:
         # the interpreter's final flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_CLOSED_STDOUT
+    except Exception as exc:  # main reports every NegsetError itself
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     sys.exit(code)
 
 

@@ -21,6 +21,7 @@ from .errors import (
     PolicyError,
     ReflexivePair,
     UniverseMismatch,
+    UnknownObject,
 )
 
 STRONG_IN_ADMISSIBILITY = "strong-in-admissibility"
@@ -68,46 +69,49 @@ def make_contradiction_spec(
     weak_pairs: Iterable[tuple[str, str]] = (),
     dominance_pairs: Iterable[tuple[str, str]] = (),
 ) -> ContradictionSpec:
-    # strong and weak pairs may come in any order and repeat; the reflexive
-    # pair reported is the lowest one whatever that order is
+    # pairs may come in any order and repeat; every pair an error names is
+    # the lowest one by index whatever that order is
+    index, objects = universe._index, universe.objects
+    diagonal = {(i, i) for i in range(len(objects))}
+
+    def index_pairs(pairs, lower_first):
+        try:
+            if lower_first:
+                return frozenset([(i, j) if (i := index[x]) < (j := index[y]) else (j, i)
+                                  for x, y in pairs])
+            return frozenset([(index[x], index[y]) for x, y in pairs])
+        except KeyError as exc:
+            raise UnknownObject(exc.args[0]) from None
+
     def normalize(pairs):
-        out = set()
-        for x, y in pairs:
-            i, j = universe.index(x), universe.index(y)
-            out.add((i, j) if i < j else (j, i))
-        loops = [i for i, j in out if i == j]
-        if loops:
-            raise ReflexivePair(universe.objects[min(loops)])
-        return frozenset(out)
+        out = index_pairs(pairs, True)
+        if out & diagonal:
+            raise ReflexivePair(objects[min(out & diagonal)[0]])
+        return out
 
     strong = normalize(strong_pairs)
     weak = normalize(weak_pairs)
     overlap = strong & weak
     if overlap:
-        i, j = sorted(overlap)[0]
-        raise OverlappingKinds(universe.objects[i], universe.objects[j])
+        i, j = min(overlap)
+        raise OverlappingKinds(objects[i], objects[j])
 
-    dom = set()
-    for x, y in dominance_pairs:
-        i, j = universe.index(x), universe.index(y)
-        if i == j:
-            raise DominanceNotStrictOrder(f"({x}, {x}) is reflexive")
-        dom.add((i, j))
-    for i, j in dom:
+    dom = index_pairs(dominance_pairs, False)
+    if dom & diagonal:
+        x = objects[min(dom & diagonal)[0]]
+        raise DominanceNotStrictOrder(f"({x}, {x}) is reflexive")
+    ordered = sorted(dom)
+    for i, j in ordered:
         if (j, i) in dom:
-            raise DominanceNotStrictOrder(
-                f"({universe.objects[i]}, {universe.objects[j]}) declared in both directions"
-            )
+            raise DominanceNotStrictOrder(f"({objects[i]}, {objects[j]}) declared in both directions")
     # transitive iff every edge i -> j has out[j] within out[i]
     _, out = _neighbour_masks(dom)
-    for i, j in dom:
+    for i, j in ordered:
         missing = out.get(j, 0) & ~out[i]
         if missing:
-            l = next(l for k, l in dom if k == j and missing >> l & 1)
-            raise DominanceNotStrictOrder(
-                f"missing transitive pair ({universe.objects[i]}, {universe.objects[l]})"
-            )
-    return ContradictionSpec(universe, strong, weak, frozenset(dom))
+            l = (missing & -missing).bit_length() - 1
+            raise DominanceNotStrictOrder(f"missing transitive pair ({objects[i]}, {objects[l]})")
+    return ContradictionSpec(universe, strong, weak, dom)
 
 
 def _neighbour_masks(pairs: Iterable[tuple[int, int]]) -> tuple[int, dict[int, int]]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
@@ -331,14 +331,14 @@ def parse_session(text: str) -> SessionScript:
     p = _Parser(text)
     universe: Universe | None = None
     agents: list[tuple[str, NegotiationSet]] = []
-    relations: dict[str, list[tuple[str, str]]] = {kind: [] for kind in _RELATIONS}
-    relation_lines: dict[str, list[int]] = {kind: [] for kind in _RELATIONS}
+    runs: dict[str, list] = {kind: [] for kind in _RELATIONS}  # per kind: (first line, xs, ys)
+    read_to = 0  # up to here a run that failed its checks is read line by line
     policy: ResolutionPolicy | None = None
     policy_line: int | None = None
     statements: list[Statement] = []
     known_names: set[str] = set()
 
-    tokens = p.tokens
+    tokens, n_tokens = p.tokens, len(p.tokens)
     while True:
         while tokens[p.pos] == "\n":  # a blank line
             p.pos += 1
@@ -376,14 +376,26 @@ def parse_session(text: str) -> SessionScript:
                 raise ValidationError(f"agent {name}: {exc}", line) from exc
             agents.append((name, value))
             known_names.add(name)
-        elif keyword in relations:
-            x = p.expect_name("object name")
-            if keyword == "dominance":
-                p.expect_sym(">")
-            y = p.expect_name("object name")
-            p.end_line()
-            relations[keyword].append((x, y))
-            relation_lines[keyword].append(line)
+        elif keyword in runs:
+            # a run of lines "kw x y" ("kw x > y" for dominance) is read at once
+            # when slices show every line whole, else line by line just below
+            start, stride, stop = p.pos - 1, 5 if keyword == "dominance" else 4, p.pos - 1
+            while start >= read_to and stop < n_tokens and tokens[stop] == keyword:
+                stop += stride
+            k = (stop - start) // stride
+            xs, ys = tokens[start + 1:stop:stride], tokens[start + stride - 2:stop:stride]
+            if k and (tokens[start + stride - 1:stop:stride].count("\n") == k
+                      and (stride == 4 or tokens[start + 2:stop:5].count(">") == k)
+                      and _NOT_NAMES.isdisjoint(xs + ys)):
+                p.pos, p.line = stop, line + k
+            else:
+                read_to = stop
+                xs = [p.expect_name("object name")]
+                if keyword == "dominance":
+                    p.expect_sym(">")
+                ys = [p.expect_name("object name")]
+                p.end_line()
+            runs[keyword].append((line, xs, ys))
         elif keyword == "policy":
             if policy is not None:
                 raise ValidationError("duplicate policy declaration", line)
@@ -417,11 +429,13 @@ def parse_session(text: str) -> SessionScript:
     if universe is None:
         raise ValidationError("script declares no universe")
 
+    known = universe._index.keys()
     for kind in _RELATIONS:
-        for pair, line in zip(relations[kind], relation_lines[kind]):
-            for name in pair:
-                if name not in universe:
-                    raise ValidationError(f"object {name!r} not in universe", line)
+        for first, xs, ys in runs[kind]:
+            if not known >= {*xs, *ys}:
+                at, name = next((at, name) for at, pair in enumerate(zip(xs, ys))
+                                for name in pair if name not in known)
+                raise ValidationError(f"object {name!r} not in universe", first + at)
 
     if isinstance(policy, AgentPriority):
         ranking = policy.ranking
@@ -435,11 +449,9 @@ def parse_session(text: str) -> SessionScript:
         if uncovered:
             raise ValidationError(f"ranking does not cover agents: {uncovered}", policy_line)
 
-    # make_contradiction_spec names the first broken dominance pair it meets;
-    # index order makes that independent of the order of the script's lines.
-    dominance = sorted(relations["dominance"], key=lambda pair: tuple(map(universe.index, pair)))
+    pairs = [list(chain.from_iterable(zip(xs, ys) for _, xs, ys in runs[k])) for k in _RELATIONS]
     try:
-        spec = make_contradiction_spec(universe, relations["strong"], relations["weak"], dominance)
+        spec = make_contradiction_spec(universe, *pairs)
     except NegsetError as exc:
         raise ValidationError(str(exc)) from exc
     return SessionScript(

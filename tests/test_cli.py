@@ -395,3 +395,15 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_one_line_and_exit_70(self, monkeypatch, capsys):
+        def broken(argv=None):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "main", broken)
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+        assert info.value.code == 70
+        assert capsys.readouterr() == ("", "internal error: ValueError: boom\n")

@@ -52,6 +52,14 @@ CASES = [
     ("expect-missing-target", U + "expect A\n", "4:9: expected '=', found 'NEWLINE'"),
     ("strong-missing-object", U + "strong a\n", "4:9: expected object name, found 'NEWLINE'"),
     ("dominance-missing-arrow", U + "dominance a b\n", "4:13: expected '>', found 'b'"),
+    # a relation line cut short at the end of the text, in a run or alone
+    ("truncated-last-relation-line", U + "strong a b\nstrong a",
+     "5:9: expected object name, found 'NEWLINE'"),
+    ("truncated-last-relation-line-with-newline", U + "strong a b\nstrong a\n",
+     "5:9: expected object name, found 'NEWLINE'"),
+    ("truncated-last-dominance-line", U + "dominance a > b\ndominance b >",
+     "5:14: expected object name, found 'NEWLINE'"),
+    ("relation-keyword-alone-at-end", U + "weak", "4:5: expected object name, found 'NEWLINE'"),
     ("unknown-policy", U + "policy bogus\n", "4:8: unknown policy 'bogus'"),
     # statements
     ("statement-before-universe", "agent A = [{} {}]\nuniverse a\n",

@@ -137,6 +137,91 @@ class TestValidation:
             parse_session("universe a b\nagent A = [{} {}]\nstrong a b\nweak b a\n")
 
 
+class TestRelationRuns:
+    """Consecutive relation lines are read as one run; a run reports what
+    reading its lines one by one reports, at the same line and column."""
+
+    HEAD = "universe " + " ".join(f"o{i}" for i in range(100)) + "\nagent A = [{} {o0}]\n"
+
+    @staticmethod
+    def lines(kind, n=50):
+        arrow = " >" if kind == "dominance" else ""
+        return [f"{kind} o{i}{arrow} o{i + 50}" for i in range(n)]
+
+    @staticmethod
+    def malformed(kind, case, i):
+        """A bad line i of a run, the column of its error and the message."""
+        arrow = " >" if kind == "dominance" else ""
+        if case == "missing-name":
+            line = f"{kind} o{i}{arrow}"
+            return line, len(line) + 1, "expected object name, found 'NEWLINE'"
+        if case == "extra-token":
+            line = f"{kind} o{i}{arrow} o{i + 50} o99"
+            return line, len(line) - 2, "unexpected trailing token 'o99'"
+        if case == "arrow":  # dominance without one, the others with one
+            if kind == "dominance":
+                return f"{kind} o{i} o{i + 50}", len(f"{kind} o{i} ") + 1, f"expected '>', found 'o{i + 50}'"
+            return f"{kind} o{i} > o{i + 50}", len(f"{kind} o{i} ") + 1, "expected object name, found '>'"
+        if case == "symbol-for-arrow":
+            line, col = f"{kind} o{i} = o{i + 50}", len(f"{kind} o{i} ") + 1
+            return line, col, "expected '>', found '='" if arrow else "expected object name, found '='"
+        line = f"{kind} o{i}{arrow} {{}}"  # a symbol as a name
+        return line, len(line) - 1, "expected object name, found '{'"
+
+    @pytest.mark.parametrize("kind", ["strong", "weak", "dominance"])
+    @pytest.mark.parametrize("case", ["missing-name", "extra-token", "arrow", "symbol-for-arrow",
+                                      "symbol"])
+    @pytest.mark.parametrize("at", [0, 24, 49])
+    def test_malformed_line_in_a_run(self, kind, case, at):
+        lines = self.lines(kind)
+        lines[at], col, message = self.malformed(kind, case, at)
+        with pytest.raises(ParseError) as info:
+            parse_session(self.HEAD + "\n".join(lines) + "\n")
+        assert str(info.value) == f"{at + 3}:{col}: {message}"
+
+    def test_first_malformed_line_wins(self):
+        lines = self.lines("strong")
+        lines[40] = "strong o40"
+        lines[10] = "strong o10 o60 o1"
+        with pytest.raises(ParseError) as info:
+            parse_session(self.HEAD + "\n".join(lines) + "\n")
+        assert str(info.value) == "13:16: unexpected trailing token 'o1'"
+
+    @pytest.mark.parametrize("kind", ["strong", "weak", "dominance"])
+    @pytest.mark.parametrize("at", [0, 24, 49])
+    def test_unknown_object_reports_its_line(self, kind, at):
+        lines = self.lines(kind)
+        lines[at] = lines[at].replace(f"o{at + 50}", "zz")
+        if at < 49:  # a later unknown name is not the one reported
+            lines[49] = lines[49].replace("o49", "yy")
+        with pytest.raises(ValidationError) as info:
+            parse_session(self.HEAD + "\n".join(lines) + "\n")
+        assert str(info.value) == f"line {at + 3}: object 'zz' not in universe"
+
+    def test_parse_error_beats_unknown_object_in_a_run(self):
+        lines = self.lines("weak")
+        lines[7] = "weak o7 zz"
+        with pytest.raises(ParseError) as info:
+            parse_session(self.HEAD + "\n".join(lines) + "\neval (A\n")
+        assert str(info.value) == "53:8: expected ')', found 'NEWLINE'"
+
+    def test_broken_runs_parse_to_the_same_script(self):
+        lines = self.lines("strong", 20) + self.lines("dominance", 20)
+        lines += [f"weak o{i} o{i + 21}" for i in range(20)]
+        expected = parse_session(self.HEAD + "\n".join(lines) + "\n")
+        assert len(expected.strong) == len(expected.dominance) == len(expected.weak) == 20
+        variants = [
+            "\n\n".join(lines),
+            "\n# note\n".join(lines),
+            " # note\n".join(lines),
+            "\n".join(lines[::2] + lines[1::2]),
+            "\n".join(line for pair in zip(lines[:30], lines[30:]) for line in pair),
+            "\n".join(reversed(lines)),
+        ]
+        for text in variants:
+            assert parse_session(self.HEAD + text + "\n") == expected
+
+
 def corpus() -> list[str]:
     scripts = [p.read_text() for p in sorted(SESSIONS.glob("*.ns"))]
     base = "universe a b c d\nagent A = [{a} {a b}]\nagent B = [{b} {b c}]\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -187,6 +188,7 @@ def cmd_fixtures(fixture: str | None, as_json: bool, out=None, err=None) -> int:
     return EXIT_OK if ok else EXIT_FAILED_CHECKS
 
 
+@functools.cache  # parse_args leaves the parser as it is, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negset", description="negotiation-set algebra toolkit"

@@ -134,28 +134,40 @@ class SessionScript:
 
 # --- lexer ---
 
-# A token is a plain string: a symbol, a name, or "\n" for the end of a line.
+# A token is a plain string: a symbol, a name, or _EOL for the end of a line.
 # \w and \s follow str.isalnum and str.isspace; a comment runs from "#" to the
-# end of its line.
+# end of its line.  _TOKEN is the grammar of the tokens; the lexer reads the
+# same tokens with str passes and uses _TOKEN only to locate one for an error.
 _TOKEN = re.compile(r"[()\[\]{},=>]|[\w.-]+|\n")
 _COMMENT = re.compile(r"#[^\n]*")
 _STRAY = re.compile(r"[^\w\s()\[\]{},=>.-]")
+_ALLOWED_ASCII = bytes(b for b in range(128) if not _STRAY.match(chr(b)))
+_EOL = ";"  # a stray character, so no text that passes the stray check holds one
 _SYMBOLS = frozenset("()[]{},=>")
-_NOT_NAMES = _SYMBOLS | {"\n", ""}  # "" marks the end of the text
+_NOT_NAMES = _SYMBOLS | {_EOL, ""}  # "" marks the end of the text
 
 
 def _lex(text: str) -> tuple[list[str], str]:
     """The tokens of ``text``, and the text without comments that they were read from.
 
     A line end is appended to the text, so that every statement ends with
-    one, and "" to the token list.
+    one, and "" to the token list.  With every symbol padded by spaces and
+    each line end made an _EOL word, one ``split`` gives the tokens that
+    ``_TOKEN.findall`` gives, since both follow ``str.isspace``.
     """
     code = (_COMMENT.sub("", text) if "#" in text else text) + "\n"
-    stray = _STRAY.search(code)
-    if stray:
-        line, col = _line_col(code, stray.start())
-        raise ParseError(line, col, f"unexpected character {stray.group()!r}")
-    tokens = _TOKEN.findall(code)
+    # a non-ASCII text is left to the regex: it may hold a lone surrogate,
+    # which has no UTF-8 encoding
+    if not code.isascii() or code.encode().translate(None, _ALLOWED_ASCII):
+        stray = _STRAY.search(code)
+        if stray:
+            line, col = _line_col(code, stray.start())
+            raise ParseError(line, col, f"unexpected character {stray.group()!r}")
+    spaced = code.replace("\n", f" {_EOL} ")
+    for sym in _SYMBOLS:
+        if sym in spaced:
+            spaced = spaced.replace(sym, f" {sym} ")
+    tokens = spaced.split()
     tokens.append("")
     return tokens, code
 
@@ -198,7 +210,7 @@ class _Parser:
 
     def expected(self, what: str) -> ParseError:
         token = self.tokens[self.pos]
-        found = "NEWLINE" if token == "\n" else token
+        found = "NEWLINE" if token == _EOL else token
         return self.fail(f"expected {what}, found {found!r}")
 
     def expect_sym(self, sym: str) -> None:
@@ -215,7 +227,7 @@ class _Parser:
 
     def end_line(self) -> None:
         token = self.tokens[self.pos]
-        if token != "\n":
+        if token != _EOL:
             raise self.fail(f"unexpected trailing token {token!r}")
         self.pos += 1
         self.line += 1
@@ -340,7 +352,7 @@ def parse_session(text: str) -> SessionScript:
 
     tokens, n_tokens = p.tokens, len(p.tokens)
     while True:
-        while tokens[p.pos] == "\n":  # a blank line
+        while tokens[p.pos] == _EOL:  # a blank line
             p.pos += 1
             p.line += 1
         keyword, line = tokens[p.pos], p.line
@@ -384,7 +396,7 @@ def parse_session(text: str) -> SessionScript:
                 stop += stride
             k = (stop - start) // stride
             xs, ys = tokens[start + 1:stop:stride], tokens[start + stride - 2:stop:stride]
-            if k and (tokens[start + stride - 1:stop:stride].count("\n") == k
+            if k and (tokens[start + stride - 1:stop:stride].count(_EOL) == k
                       and (stride == 4 or tokens[start + 2:stop:5].count(">") == k)
                       and _NOT_NAMES.isdisjoint(xs + ys)):
                 p.pos, p.line = stop, line + k

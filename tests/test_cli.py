@@ -407,3 +407,14 @@ class TestInternalError:
             cli.entry()
         assert info.value.code == 70
         assert capsys.readouterr() == ("", "internal error: ValueError: boom\n")
+
+
+class TestParserReuse:
+    def test_bad_argv_then_good_argv_in_one_process(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["eval"])  # no path: argparse exits with 2
+        assert info.value.code == 2
+        assert "the following arguments are required: path" in capsys.readouterr().err
+        assert run(["eval", str(SESSIONS / "trip.ns")])[0] == 0
+        assert run(["check", str(SESSIONS / "trip.ns")])[0] == 0
+        assert cli.build_parser() is cli.build_parser()

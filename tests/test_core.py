@@ -62,6 +62,25 @@ class TestUniverse:
         u = ns.make_universe(["z", "a", "m"])
         assert u.objects == ("z", "a", "m")
 
+    @pytest.mark.parametrize("names,error", [
+        (["a", "a", "b c"], DuplicateName("a")),
+        (["a", "b c", "a"], InvalidName("b c")),
+        (["a", "", "a"], InvalidName("")),
+        (["a", "a\tb"], InvalidName("a\tb")),
+        (["a\xa0", "b"], InvalidName("a\xa0")),
+        (["a", "b", "\x1cc"], InvalidName("\x1cc")),
+        (["a", "b", "c", "b"], DuplicateName("b")),
+        (["a", None], InvalidName(None)),
+    ], ids=repr)
+    def test_first_bad_name_is_reported(self, names, error):
+        with pytest.raises(type(error)) as info:
+            ns.make_universe(names)
+        assert str(info.value) == str(error)
+
+    @pytest.mark.parametrize("names", [["a"], ("b", "a"), ["é", "x²", "a-b.c", "_"]])
+    def test_valid_names(self, names):
+        assert ns.make_universe(names).objects == tuple(names)
+
 
 class TestIterBits:
     @given(st.one_of(

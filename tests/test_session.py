@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import negset as ns
 from negset import cli
@@ -21,6 +22,7 @@ from negset.session import (
     print_session,
     run_session,
 )
+from negset.session import _COMMENT, _EOL, _STRAY, _TOKEN, _lex
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -93,6 +95,32 @@ class TestParseErrors:
     def test_malformed(self, text):
         with pytest.raises(ParseError):
             parse_session(text)
+
+
+# every symbol, comments, line ends, ASCII and non-ASCII whitespace and name
+# characters, and stray characters, _EOL and a lone surrogate among them
+LEX_ALPHABET = list("()[]{},=>#\n \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028ab_.-0é²;@!\x00€\ud800")
+
+
+class TestLexer:
+    def test_eol_is_a_stray_character(self):
+        assert _STRAY.match(_EOL)
+
+    @settings(max_examples=1000)
+    @given(st.text(st.sampled_from(LEX_ALPHABET), max_size=40))
+    def test_tokens_are_the_regex_tokens(self, text):
+        code = _COMMENT.sub("", text) + "\n"
+        stray = _STRAY.search(code)
+        if stray is None:
+            tokens = [_EOL if token == "\n" else token for token in _TOKEN.findall(code)]
+            assert _lex(text) == (tokens + [""], code)
+        else:
+            at = stray.start()
+            with pytest.raises(ParseError) as info:
+                _lex(text)
+            assert (info.value.line, info.value.col) == (
+                code.count("\n", 0, at) + 1, at - code.rfind("\n", 0, at))
+            assert info.value.reason == f"unexpected character {stray.group()!r}"
 
 
 class TestValidation:

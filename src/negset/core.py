@@ -86,18 +86,13 @@ def make_universe(names: Sequence[str]) -> Universe:
     """Build a universe, enforcing non-emptiness and name validity."""
     if not names:
         raise EmptyUniverse("universe must contain at least one object")
-    try:
-        valid = " ".join(names).split() == list(names)  # none empty or holding whitespace
-    except TypeError:  # a name that is not a string
-        valid = False
-    if not valid or len(set(names)) != len(names):  # the loop names the first bad name
-        seen = set()
-        for name in names:
-            if not name or any(c.isspace() for c in name):
-                raise InvalidName(name)
-            if name in seen:
-                raise DuplicateName(name)
-            seen.add(name)
+    seen = set()
+    for name in names:
+        if not name or name.split() != [name]:  # empty, or holding whitespace
+            raise InvalidName(name)
+        if name in seen:
+            raise DuplicateName(name)
+        seen.add(name)
     return Universe(tuple(names))
 
 

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .core import FiniteSet, NegotiationSet, Universe, iter_bits, odot
+from .core import NegotiationSet, Universe, _from_masks, _same, iter_bits, odot
 from .errors import (
     DominanceNotStrictOrder,
     InputNotDisc,
     OverlappingKinds,
     PolicyError,
     ReflexivePair,
-    UniverseMismatch,
     UnknownObject,
 )
 
@@ -135,9 +134,8 @@ def _offending_pairs(
     a: NegotiationSet, spec: ContradictionSpec
 ) -> Iterator[tuple[str, int, int]]:
     """(kind, i, j) per offending pair: strong ones, then weak ones, each by ascending (i, j)."""
-    if a.universe != spec.universe:
-        raise UniverseMismatch("set and contradiction spec over different universes")
-    nec, adm = a.necessity.mask, a.admissibility.mask
+    _same(a.universe, spec.universe, "set and contradiction spec over different universes")
+    nec, adm = a.nec, a.adm
     rows, partners_of = spec._strong_masks
     for i in iter_bits(adm & rows):
         for j in iter_bits(partners_of[i] & adm):
@@ -232,11 +230,9 @@ def _apply_drops(result: NegotiationSet, spec: ContradictionSpec, dropped: set[s
     drop_mask = u.mask_of(dropped)
     # conflict locality: strong violators never sit in the necessity range of a
     # DISC-input minimalization, so only the admissibility range shrinks
-    if result.necessity.mask & drop_mask:
+    if result.nec & drop_mask:
         raise AssertionError("resolution would drop a necessary object")
-    repaired = NegotiationSet(
-        result.necessity, FiniteSet(u, result.admissibility.mask & ~drop_mask)
-    )
+    repaired = _from_masks(u, result.nec, result.adm & ~drop_mask)
     remaining = disc_violations(repaired, spec)
     if remaining:
         return Failed("violations survive drops", tuple(v.pair for v in remaining))
@@ -293,11 +289,10 @@ def resolve_odot(
         return _drop_by_preferred(result, spec, pairs, preferred.admissibility)
 
     if isinstance(policy, FewestNecessities):
-        if len(a.necessity) == len(b.necessity):
-            return Failed(
-                f"incomparable: both operands have {len(a.necessity)} necessities", pairs
-            )
-        preferred = a if len(a.necessity) < len(b.necessity) else b
+        count_a, count_b = a.nec.bit_count(), b.nec.bit_count()
+        if count_a == count_b:
+            return Failed(f"incomparable: both operands have {count_a} necessities", pairs)
+        preferred = a if count_a < count_b else b
         return _drop_by_preferred(result, spec, pairs, preferred.admissibility)
 
     raise PolicyError(f"unknown policy: {policy!r}")

@@ -8,7 +8,7 @@ a couple of integer operations and all output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
@@ -49,9 +49,11 @@ class Universe:
 
     objects: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.objects)})
+        object.__setattr__(self, "full_mask", (1 << len(self.objects)) - 1)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -64,10 +66,6 @@ class Universe:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.objects)) - 1
 
     def mask_of(self, names: Iterable[str]) -> int:
         index, mask = self._index, 0
@@ -120,8 +118,7 @@ class FiniteSet:
         return cls(universe, universe.full_mask)
 
     def _check(self, other: "FiniteSet") -> None:
-        if self.universe != other.universe:
-            raise UniverseMismatch("sets over different universes")
+        _same(self.universe, other.universe, "sets over different universes")
 
     def __or__(self, other: "FiniteSet") -> "FiniteSet":
         self._check(other)
@@ -174,27 +171,74 @@ class SpecialKind(Enum):
     POINT_FULL = "point-full"
 
 
-@dataclass(frozen=True)
 class NegotiationSet:
-    """Pair [necessity, admissibility] with necessity contained in admissibility."""
+    """Pair [necessity, admissibility] with necessity contained in admissibility, kept
+    flat and immutable as the masks ``nec`` and ``adm`` over ``universe``.  The
+    constructor checks its sets; operators build their results with ``_from_masks``."""
 
-    necessity: FiniteSet
-    admissibility: FiniteSet
+    __slots__ = ("universe", "nec", "adm")
 
-    def __post_init__(self):
-        if self.necessity.universe != self.admissibility.universe:
-            raise UniverseMismatch("components over different universes")
-        if not self.necessity.issubset(self.admissibility):
-            raise NotDouble(
-                f"necessity {self.necessity} not contained in admissibility {self.admissibility}"
-            )
+    def __new__(cls, necessity: FiniteSet, admissibility: FiniteSet):
+        u = _same(necessity.universe, admissibility.universe, "components over different universes")
+        return _checked(u, necessity.mask, admissibility.mask)
 
     @property
-    def universe(self) -> Universe:
-        return self.necessity.universe
+    def necessity(self) -> FiniteSet:
+        return FiniteSet(self.universe, self.nec)
+
+    @property
+    def admissibility(self) -> FiniteSet:
+        return FiniteSet(self.universe, self.adm)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not NegotiationSet:
+            return NotImplemented
+        return (self.nec == other.nec and self.adm == other.adm
+                and (self.universe is other.universe or self.universe == other.universe))
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.nec, self.adm))
+
+    def __reduce__(self):
+        return NegotiationSet, (self.necessity, self.admissibility)
+
+    def __repr__(self) -> str:
+        return f"NegotiationSet(necessity={self.necessity!r}, admissibility={self.admissibility!r})"
 
     def __str__(self) -> str:
-        return f"[{self.necessity} {self.admissibility}]"
+        names = self.universe.names_of
+        return f"[{{{' '.join(names(self.nec))}}} {{{' '.join(names(self.adm))}}}]"
+
+
+# the slots' own setters, which the blocked __setattr__ does not reach
+_set_universe, _set_nec, _set_adm = (getattr(NegotiationSet, n).__set__ for n in NegotiationSet.__slots__)
+
+
+def _from_masks(u: Universe, nec: int, adm: int) -> NegotiationSet:
+    """The value [nec adm] over ``u``, unchecked: for pairs valid by construction."""
+    a = object.__new__(NegotiationSet)
+    _set_universe(a, u)
+    _set_nec(a, nec)
+    _set_adm(a, adm)
+    return a
+
+
+def _same(u: Universe, v: Universe, what: str) -> Universe:
+    if u is not v and u != v:
+        raise UniverseMismatch(what)
+    return u
+
+
+def _checked(u: Universe, nec: int, adm: int) -> NegotiationSet:
+    if nec & ~adm:
+        raise NotDouble(f"necessity {FiniteSet(u, nec)} not contained in admissibility {FiniteSet(u, adm)}")
+    return _from_masks(u, nec, adm)
 
 
 def make_negset(necessity: FiniteSet, admissibility: FiniteSet) -> NegotiationSet:
@@ -203,7 +247,7 @@ def make_negset(necessity: FiniteSet, admissibility: FiniteSet) -> NegotiationSe
 
 def negset_of(universe: Universe, necessity: Iterable[str], admissibility: Iterable[str]) -> NegotiationSet:
     """Convenience constructor from name collections."""
-    return NegotiationSet(FiniteSet.of(universe, necessity), FiniteSet.of(universe, admissibility))
+    return _checked(universe, universe.mask_of(necessity), universe.mask_of(admissibility))
 
 
 # The mask arithmetic of every operator, on (necessity, admissibility) mask
@@ -239,45 +283,35 @@ def difference_masks(nec1: int, adm1: int, nec2: int, adm2: int) -> tuple[int, i
     return nec1 & ~adm2, adm1 & ~nec2
 
 
-def _from_masks(u: Universe, nec: int, adm: int) -> NegotiationSet:
-    return NegotiationSet(FiniteSet(u, nec), FiniteSet(u, adm))
-
-
 def complement(a: NegotiationSet) -> NegotiationSet:
     u = a.universe
-    return _from_masks(u, *complement_masks(u.full_mask, a.necessity.mask, a.admissibility.mask))
+    return _from_masks(u, *complement_masks(u.full_mask, a.nec, a.adm))
+
+
+def _binary(masks_op, a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
+    u = _same(a.universe, b.universe, "family members over different universes")
+    return _from_masks(u, *masks_op(a.nec, a.adm, b.nec, b.adm))
 
 
 def difference(a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
-    return _fold(difference_masks, [a, b])
+    return _binary(difference_masks, a, b)
 
 
 def included(a: NegotiationSet, b: NegotiationSet, mode: InclusionMode = InclusionMode.FULL) -> bool:
-    if a.universe != b.universe:
-        raise UniverseMismatch("operands over different universes")
-    if mode is InclusionMode.NECESSITY:
-        return a.necessity.issubset(b.necessity)
-    if mode is InclusionMode.ADMISSIBILITY:
-        return a.admissibility.issubset(b.admissibility)
-    return a.necessity.issubset(b.necessity) and a.admissibility.issubset(b.admissibility)
-
-
-def _family(family: Sequence[NegotiationSet]) -> Sequence[NegotiationSet]:
-    if not family:
-        raise EmptyFamily("generalized operations need a non-empty family")
-    universe = family[0].universe
-    for a in family[1:]:
-        if a.universe != universe:
-            raise UniverseMismatch("family members over different universes")
-    return family
+    _same(a.universe, b.universe, "operands over different universes")
+    nec_ok = mode is InclusionMode.ADMISSIBILITY or a.nec & ~b.nec == 0
+    return nec_ok and (mode is InclusionMode.NECESSITY or a.adm & ~b.adm == 0)
 
 
 def _fold(masks_op, family: Sequence[NegotiationSet]) -> NegotiationSet:
-    family = _family(family)
-    nec, adm = family[0].necessity.mask, family[0].admissibility.mask
+    if not family:
+        raise EmptyFamily("generalized operations need a non-empty family")
+    first = family[0]
+    nec, adm = first.nec, first.adm
     for a in family[1:]:
-        nec, adm = masks_op(nec, adm, a.necessity.mask, a.admissibility.mask)
-    return _from_masks(family[0].universe, nec, adm)
+        _same(a.universe, first.universe, "family members over different universes")
+        nec, adm = masks_op(nec, adm, a.nec, a.adm)
+    return _from_masks(first.universe, nec, adm)
 
 
 def union_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
@@ -299,26 +333,23 @@ def oplus_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
 
 
 def odot(a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
-    return odot_all([a, b])
+    return _binary(odot_masks, a, b)
 
 
 def oplus(a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
-    return oplus_all([a, b])
+    return _binary(oplus_masks, a, b)
 
 
 def special(universe: Universe, kind: SpecialKind, name: str | None = None) -> NegotiationSet:
     """The distinguished constant sets, plus the two point constructions."""
-    empty = FiniteSet.empty(universe)
-    full = FiniteSet.full(universe)
+    full = universe.full_mask
     if kind is SpecialKind.EMPTY_N:
-        return NegotiationSet(empty, empty)
+        return _from_masks(universe, 0, 0)
     if kind is SpecialKind.FULL_N:
-        return NegotiationSet(full, full)
+        return _from_masks(universe, full, full)
     if kind is SpecialKind.HALF_EMPTY:
-        return NegotiationSet(empty, full)
+        return _from_masks(universe, 0, full)
     if name is None:
         raise UnknownObject(None)
-    point = FiniteSet.of(universe, [name])
-    if kind is SpecialKind.POINT_HALF:
-        return NegotiationSet(empty, point)
-    return NegotiationSet(point, point)
+    point = universe.mask_of([name])
+    return _from_masks(universe, point if kind is SpecialKind.POINT_FULL else 0, point)

@@ -27,9 +27,9 @@ from itertools import combinations, permutations, product
 from typing import Callable, Iterable
 
 from .core import (
-    FiniteSet,
     NegotiationSet,
     Universe,
+    _from_masks,
     complement,
     complement_masks,
     make_universe,
@@ -81,14 +81,11 @@ def enumerate_negsets(universe: Universe) -> list[NegotiationSet]:
     n = len(universe)
     if n > len(_LETTERS):
         raise SizeOutOfRange(n, len(_LETTERS))
-    return [
-        NegotiationSet(FiniteSet(universe, nec), FiniteSet(universe, adm))
-        for nec, adm in enumerate_mask_pairs(n)
-    ]
+    return [_from_masks(universe, nec, adm) for nec, adm in enumerate_mask_pairs(n)]
 
 
 def _fmt(universe: Universe, nec: int, adm: int) -> str:
-    return str(NegotiationSet(FiniteSet(universe, nec), FiniteSet(universe, adm)))
+    return str(_from_masks(universe, nec, adm))
 
 
 @dataclass(frozen=True)

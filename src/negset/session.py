@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from . import core
-from .core import FiniteSet, NegotiationSet, Universe, iter_bits, make_universe, negset_of
+from .core import NegotiationSet, Universe, _from_masks, _same, iter_bits, make_universe, negset_of
 from .consistency import (
     AgentPriority,
     ContradictionSpec,
@@ -43,7 +43,7 @@ from .consistency import (
     make_contradiction_spec,
     resolve_odot,
 )
-from .errors import InputNotDisc, NegsetError, NotDouble, UniverseMismatch, UnknownObject
+from .errors import InputNotDisc, NegsetError, NotDouble, UnknownObject
 
 BINARY_OPS = ("odot", "oplus", "union", "inter", "minus")
 NARY_OPS = ("odot", "oplus", "union", "inter")
@@ -627,8 +627,8 @@ def json_negset(value: NegotiationSet, quoted: list[str]) -> str:
     def names(mask: int) -> str:
         return json_array(map(quoted.__getitem__, iter_bits(mask)), " " * 10)
 
-    return (f'{{\n        "necessity": {names(value.necessity.mask)},\n'
-            f'        "admissibility": {names(value.admissibility.mask)}\n      }}')
+    return (f'{{\n        "necessity": {names(value.nec)},\n'
+            f'        "admissibility": {names(value.adm)}\n      }}')
 
 
 _MASK_OPS = {"odot": core.odot_masks, "oplus": core.oplus_masks, "union": core.union_masks,
@@ -645,10 +645,10 @@ class _Evaluator:
 
     def __init__(self, spec: ContradictionSpec, policy: ResolutionPolicy, env: dict[str, NegotiationSet]):
         self.spec, self.policy, self.universe = spec, policy, spec.universe
-        if any(value.universe != self.universe for value in env.values()):
-            raise UniverseMismatch("bindings and contradiction spec over different universes")
+        for v in env.values():
+            _same(v.universe, self.universe, "bindings and contradiction spec over different universes")
         # every name in env is an agent, its own provenance
-        self.env = {name: (v.necessity.mask, v.admissibility.mask, name) for name, v in env.items()}
+        self.env = {name: (v.nec, v.adm, name) for name, v in env.items()}
         self.notes: list[str] = []
 
     def run(self, program: Program) -> tuple[int, int, str | None]:
@@ -689,10 +689,10 @@ class _Evaluator:
         if outcome.dropped:
             dropped = " ".join(sorted(outcome.dropped, key=self.universe.index))
             self.notes.append(f"dropped {{{dropped}}}")
-        return outcome.result.necessity.mask, outcome.result.admissibility.mask
+        return outcome.result.nec, outcome.result.adm
 
     def value(self, entry) -> NegotiationSet:
-        return NegotiationSet(FiniteSet(self.universe, entry[0]), FiniteSet(self.universe, entry[1]))
+        return _from_masks(self.universe, entry[0], entry[1])
 
     def bind(self, stmt: Let) -> NegotiationSet:
         entry = self.env[stmt.name] = self.run(stmt.expr)

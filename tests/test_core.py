@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +85,12 @@ class TestUniverse:
     def test_valid_names(self, names):
         assert ns.make_universe(names).objects == tuple(names)
 
+    def test_full_mask_is_not_part_of_the_value(self):
+        u, v = ns.make_universe(["a", "b", "c"]), ns.make_universe(["a", "b", "c"])
+        assert u.full_mask == 0b111
+        assert u == v and hash(u) == hash(v)
+        assert repr(u) == "Universe(objects=('a', 'b', 'c'))"
+
 
 class TestIterBits:
     @given(st.one_of(
@@ -114,6 +124,61 @@ class TestConstruction:
         u2 = ns.make_universe(["a", "b"])
         with pytest.raises(UniverseMismatch):
             ns.make_negset(ns.FiniteSet.empty(u1), ns.FiniteSet.empty(u2))
+
+
+class TestValueContract:
+    def setup_method(self):
+        self.u = ns.make_universe(["a", "b", "c"])
+        self.a = ns.negset_of(self.u, ["a"], ["a", "b"])
+
+    @pytest.mark.parametrize("clone", [lambda a: pickle.loads(pickle.dumps(a)),
+                                       copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_round_trip(self, clone):
+        b = clone(self.a)
+        assert b == self.a and hash(b) == hash(self.a)
+        assert (b.nec, b.adm, str(b)) == (0b1, 0b11, "[{a} {a b}]")
+
+    @pytest.mark.parametrize("attr", ["universe", "nec", "adm", "necessity"])
+    def test_frozen(self, attr):
+        with pytest.raises(FrozenInstanceError):
+            setattr(self.a, attr, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(self.a, attr)
+        assert self.a == ns.negset_of(self.u, ["a"], ["a", "b"])
+
+    def test_equality_over_equal_universes(self):
+        v = ns.make_universe(["a", "b", "c"])
+        b = ns.negset_of(v, ["a"], ["a", "b"])
+        assert v is not self.u
+        assert b == self.a and hash(b) == hash(self.a)
+        assert ns.negset_of(ns.make_universe(["a", "b", "d"]), ["a"], ["a", "b"]) != self.a
+        assert ns.negset_of(self.u, [], ["a", "b"]) != self.a
+        assert self.a != (self.a.nec, self.a.adm)
+
+    def test_repr(self):
+        universe = "Universe(objects=('a', 'b', 'c'))"
+        assert repr(self.a) == (f"NegotiationSet(necessity=FiniteSet(universe={universe}, mask=1), "
+                                f"admissibility=FiniteSet(universe={universe}, mask=3))")
+
+    def test_constructor_errors(self):
+        nec, adm = ns.FiniteSet.of(self.u, ["a", "c"]), ns.FiniteSet.of(self.u, ["a"])
+        with pytest.raises(NotDouble, match=r"^necessity \{a c\} not contained in admissibility \{a\}$"):
+            ns.NegotiationSet(nec, adm)
+        with pytest.raises(NotDouble, match=r"^necessity \{c\} not contained in admissibility \{b\}$"):
+            ns.negset_of(self.u, ["c"], ["b"])
+        with pytest.raises(UniverseMismatch, match="^components over different universes$"):
+            ns.NegotiationSet(ns.FiniteSet.empty(self.u), ns.FiniteSet.empty(ns.make_universe(["a"])))
+
+    @given(sets_over_universe(k=2))
+    def test_every_result_is_a_checked_value(self, data):
+        u, (a, b) = data
+        results = [ns.odot(a, b), ns.oplus(a, b), ns.complement(a), ns.difference(a, b),
+                   *(op([a, b]) for op in (ns.union_all, ns.inter_all, ns.odot_all, ns.oplus_all)),
+                   *(ns.special(u, kind, "a") for kind in SpecialKind)]
+        for r in results:
+            assert r.nec & ~r.adm == 0 and r.adm & ~u.full_mask == 0
+            assert r == ns.NegotiationSet(r.necessity, r.admissibility)
 
 
 class TestComplementDifference:

@@ -318,9 +318,11 @@ def _disc_partial(a, b, sp):
     )
 
 
-def _fold(op_all, op_bin):
+def _fold(op):
     """Cases of a fold law: families of one to three sets, n-ary form against the fold."""
     def cases(n, spec):
+        # looked up when the cases run, so a wrapper set on this module sees every call
+        op_all, op_bin = globals()[f"{op}_all"], globals()[op]
         sets = enumerate_negsets(default_universe(n))
         tuples = (family for size in (1, 2, 3) for family in product(sets, repeat=size))
 
@@ -354,8 +356,8 @@ LAWS: dict[str, LawSpec] = {
         LawSpec("bounds-upper", False, _sweep(3, _p_bounds_upper)),
         LawSpec("bounds-lower", False, _sweep(3, _p_bounds_lower)),
         LawSpec("point-lemmas", False, _points),
-        LawSpec("fold-agreement-odot", False, _fold(odot_all, odot)),
-        LawSpec("fold-agreement-oplus", False, _fold(oplus_all, oplus)),
+        LawSpec("fold-agreement-odot", False, _fold("odot")),
+        LawSpec("fold-agreement-oplus", False, _fold("oplus")),
         LawSpec("disc-closure-oplus", False, _disc_law(_disc_closed)),
         LawSpec("disc-odot-weak-partial", False, _disc_law(_disc_partial)),
     ]

@@ -164,6 +164,20 @@ class TestResolveOdot:
         assert ref_is_disc(as_pair(outcome.result), [("a", "b")], [])
         assert ns.is_disc(outcome.result, spec)
 
+    def test_dominance_chain_drops_both_members_of_a_pair(self):
+        # x loses (x, y) to y and wins (x, z), so the pair (x, z) loses both
+        u = ns.make_universe(["x", "y", "z"])
+        spec = ns.make_contradiction_spec(
+            u, strong_pairs=[("x", "y"), ("x", "z")],
+            dominance_pairs=[("y", "x"), ("x", "z"), ("y", "z")],
+        )
+        a = ns.negset_of(u, [], ["x"])
+        b = ns.negset_of(u, [], ["y", "z"])
+        outcome = ns.resolve_odot(a, b, spec, ObjectDominance())
+        assert isinstance(outcome, Resolved)
+        assert outcome.dropped == frozenset({"x", "z"})
+        assert outcome.result == ns.negset_of(u, [], ["y"])
+
     def test_dominance_unordered_pair_fails(self):
         u = u2()
         spec = ns.make_contradiction_spec(u, strong_pairs=[("a", "b")])
@@ -413,3 +427,82 @@ def test_resolution_soundness_randomized(policy_maker):
             dropped_mask = raw.universe.mask_of(outcome.dropped)
             assert outcome.result.admissibility.mask == raw.admissibility.mask & ~dropped_mask
     assert resolved > 0
+
+
+def test_resolution_soundness_decided_at_three_objects():
+    """``resolve_odot`` on every pair of DISC operands over ``a b c``.
+
+    Every strong/weak/none labeling of the three pairs is swept under
+    ``Strict``, ``FewestNecessities``, ``AgentPriority`` in both rankings
+    with provenance ``("A", "B")``, and ``ObjectDominance`` under each of the
+    19 strict dominance orders.
+
+    Three objects decide these properties for every universe.  ``odot``
+    works object by object and DISC pair by pair, so restricting the
+    operands and the spec to some objects keeps the operands DISC and keeps
+    each pair's violation.  Once the preferred operand is fixed, each drop
+    rule is local too: a preferred-operand policy drops a member of a
+    violating pair that the preferred operand does not admit, and dominance
+    drops a pair's loser.  So a failing property shows on one violating
+    pair, or on one dropped object together with the pair that drops it.
+    That is at most three objects: two when the pairs coincide, three when
+    they share an object, as in a dominance chain y > x > z.  The two
+    rankings of ``AgentPriority`` fix either operand as the preferred one,
+    so the drop rule ``FewestNecessities`` shares is covered for both.
+    """
+    u = ns.make_universe(["a", "b", "c"])
+    pairs = list(itertools.combinations(u.objects, 2))
+    ordered_pairs = list(itertools.permutations(u.objects, 2))
+    sets = [ns.NegotiationSet(ns.FiniteSet(u, nec), ns.FiniteSet(u, adm))
+            for adm in range(8) for nec in range(8) if nec & ~adm == 0]
+    orders = []
+    for chosen in itertools.product((False, True), repeat=len(ordered_pairs)):
+        dominance = [p for p, keep in zip(ordered_pairs, chosen) if keep]
+        try:
+            ns.make_contradiction_spec(u, dominance_pairs=dominance)
+        except DominanceNotStrictOrder:
+            continue
+        orders.append(dominance)
+    assert len(orders) == 19
+
+    calls = 0
+    for labels in itertools.product(("none", "strong", "weak"), repeat=len(pairs)):
+        strong = [p for p, l in zip(pairs, labels) if l == "strong"]
+        weak = [p for p, l in zip(pairs, labels) if l == "weak"]
+        plain = ns.make_contradiction_spec(u, strong, weak)
+        runs = [(plain, Strict(), None), (plain, FewestNecessities(), None),
+                (plain, AgentPriority(("A", "B")), 0), (plain, AgentPriority(("B", "A")), 1)]
+        runs += [(ns.make_contradiction_spec(u, strong, weak, order), ObjectDominance(), None)
+                 for order in orders]
+        disc = [s for s in sets if ns.is_disc(s, plain)]
+        for a, b in itertools.product(disc, repeat=2):
+            raw = ns.odot(a, b)
+            violating = [v.pair for v in ns.disc_violations(raw, plain)]
+            members = {x for pair in violating for x in pair}
+            fewer = a.nec.bit_count() - b.nec.bit_count()
+            for spec, policy, preferred in runs:
+                calls += 1
+                outcome = ns.resolve_odot(a, b, spec, policy, ("A", "B"))
+                if isinstance(policy, FewestNecessities) and fewer:
+                    preferred = 0 if fewer < 0 else 1
+                if not outcome.ok:
+                    assert outcome.pairs
+                    if isinstance(policy, Strict):
+                        assert outcome.reason == "strong conflict"
+                    elif isinstance(policy, ObjectDominance):
+                        assert outcome.reason == "pair not ordered by dominance"
+                    else:
+                        assert preferred is None
+                        assert outcome.reason.startswith("incomparable")
+                    continue
+                result, dropped = outcome.result, outcome.dropped
+                assert result.necessity == raw.necessity
+                assert result.admissibility.mask == raw.adm & ~u.mask_of(dropped)
+                assert ns.is_disc(result, spec)
+                assert dropped <= members
+                assert all(x in dropped or y in dropped for x, y in violating)
+                if preferred is not None and violating:
+                    keeps = (a, b)[preferred].admissibility
+                    assert all((x in keeps) != (y in keeps) for x, y in violating)
+                    assert dropped == {x for x in members if x not in keeps}
+    assert calls == 110_308

@@ -111,6 +111,20 @@ class TestCheckLaw:
         assert oracle.check_law("idempotence-odot", 7).verdict == oracle.HOLDS
         oracle.check_law("fold-agreement-odot", 3)
 
+    @pytest.mark.parametrize("op", ["odot", "oplus"])
+    def test_fold_law_calls_operators_through_the_module(self, op, monkeypatch):
+        calls = []
+        n_ary = getattr(oracle, f"{op}_all")
+
+        def counted(family):
+            calls.append(len(family))
+            return n_ary(family)
+
+        monkeypatch.setattr(oracle, f"{op}_all", counted)
+        report = oracle.check_law(f"fold-agreement-{op}")
+        assert report.verdict == oracle.HOLDS
+        assert len(calls) == report.checked > 0
+
     @pytest.mark.parametrize("law", oracle.law_ids())
     def test_default_size_decides(self, law):
         report = oracle.check_law(law)

@@ -9,10 +9,11 @@ policies here decide what happens then.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, compress, count
+from operator import or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import NegotiationSet, Universe, _from_masks, _same, iter_bits, odot
 from .errors import (
@@ -32,35 +33,36 @@ WEAK_WITH_NECESSITY = "weak-with-necessity"
 class ContradictionSpec:
     """Strong and weak contradiction pairs, plus an optional dominance order.
 
-    Pairs are stored as index pairs (i, j) with i < j; dominance pairs are
-    ordered (winner, loser).
+    Each relation is one mask row per object: strong and weak row i holds the
+    partners j > i of object i, and dominance row i the objects i dominates.
+    The keys are the masks of the objects whose strong or weak row is not empty.
     """
 
     universe: Universe
-    strong: frozenset[tuple[int, int]]
-    weak: frozenset[tuple[int, int]]
-    dominance: frozenset[tuple[int, int]] = frozenset()
+    strong_rows: tuple[int, ...]
+    weak_rows: tuple[int, ...]
+    dominance_rows: tuple[int, ...]
+    strong_keys: int = field(init=False, repr=False, compare=False)
+    weak_keys: int = field(init=False, repr=False, compare=False)
 
-    # Neighbour masks for DISC scans, built on the first scan rather than at
-    # construction: a script's spec is built while the parser still holds its
-    # tokens, and the masks would add to that peak.
-    @cached_property
-    def _strong_masks(self) -> tuple[int, dict[int, int]]:
-        return _neighbour_masks(self.strong)
+    # read-only views: index pairs (i, j) with i < j, dominance pairs (winner, loser)
+    strong = property(lambda self: frozenset(_edges(self.strong_rows)))
+    weak = property(lambda self: frozenset(_edges(self.weak_rows)))
+    dominance = property(lambda self: frozenset(_edges(self.dominance_rows)))
 
-    @cached_property
-    def _weak_masks(self) -> tuple[int, dict[int, int]]:
-        return _neighbour_masks(self.weak)
+    def __post_init__(self):
+        for name, rows in (("strong_keys", self.strong_rows), ("weak_keys", self.weak_rows)):
+            object.__setattr__(self, name, sum(map((1).__lshift__, compress(count(), rows))))
 
     def pair_names(self, pair: tuple[int, int]) -> tuple[str, str]:
         return self.universe.objects[pair[0]], self.universe.objects[pair[1]]
 
     def dominates(self, x: str, y: str) -> bool:
-        return (self.universe.index(x), self.universe.index(y)) in self.dominance
+        return bool(self.dominance_rows[self.universe.index(x)] >> self.universe.index(y) & 1)
 
     @property
     def empty(self) -> bool:
-        return not self.strong and not self.weak
+        return not self.strong_keys and not self.weak_keys
 
 
 def make_contradiction_spec(
@@ -71,55 +73,58 @@ def make_contradiction_spec(
 ) -> ContradictionSpec:
     # pairs may come in any order and repeat; every pair an error names is
     # the lowest one by index whatever that order is
-    index, objects = universe._index, universe.objects
-    diagonal = {(i, i) for i in range(len(objects))}
+    objects = universe.objects
+    strong = _rows(universe, strong_pairs, True, ReflexivePair)
+    weak = _rows(universe, weak_pairs, True, ReflexivePair)
+    # compress(count(), rows) gives the indices of the non-empty rows
+    for i in compress(count(), strong):
+        if strong[i] & weak[i]:
+            raise OverlappingKinds(objects[i], objects[next(iter_bits(strong[i] & weak[i]))])
 
-    def index_pairs(pairs, lower_first):
-        try:
-            if lower_first:
-                return frozenset([(i, j) if (i := index[x]) < (j := index[y]) else (j, i)
-                                  for x, y in pairs])
-            return frozenset([(index[x], index[y]) for x, y in pairs])
-        except KeyError as exc:
-            raise UnknownObject(exc.args[0]) from None
-
-    def normalize(pairs):
-        out = index_pairs(pairs, True)
-        if out & diagonal:
-            raise ReflexivePair(objects[min(out & diagonal)[0]])
-        return out
-
-    strong = normalize(strong_pairs)
-    weak = normalize(weak_pairs)
-    overlap = strong & weak
-    if overlap:
-        i, j = min(overlap)
-        raise OverlappingKinds(objects[i], objects[j])
-
-    dom = index_pairs(dominance_pairs, False)
-    if dom & diagonal:
-        x = objects[min(dom & diagonal)[0]]
-        raise DominanceNotStrictOrder(f"({x}, {x}) is reflexive")
-    ordered = sorted(dom)
-    for i, j in ordered:
-        if (j, i) in dom:
-            raise DominanceNotStrictOrder(f"({objects[i]}, {objects[j]}) declared in both directions")
-    # transitive iff every edge i -> j has out[j] within out[i]
-    _, out = _neighbour_masks(dom)
-    for i, j in ordered:
-        missing = out.get(j, 0) & ~out[i]
-        if missing:
-            l = (missing & -missing).bit_length() - 1
-            raise DominanceNotStrictOrder(f"missing transitive pair ({objects[i]}, {objects[l]})")
-    return ContradictionSpec(universe, strong, weak, dom)
+    beats = _rows(universe, dominance_pairs, False,
+                  lambda x: DominanceNotStrictOrder(f"({x}, {x}) is reflexive"))
+    # transitive iff every row holds the rows of the objects it holds; with no
+    # reflexive pair, a pair declared both ways breaks that too, so only a
+    # broken order is searched for one
+    for i in compress(count(), beats):
+        row = beats[i]
+        if reduce(or_, map(beats.__getitem__, iter_bits(row))) & ~row:
+            for k, m in _edges(beats):
+                if beats[m] >> k & 1:
+                    raise DominanceNotStrictOrder(
+                        f"({objects[k]}, {objects[m]}) declared in both directions")
+            missing = next(m for j in iter_bits(row) if (m := beats[j] & ~row))
+            raise DominanceNotStrictOrder(
+                f"missing transitive pair ({objects[i]}, {objects[next(iter_bits(missing))]})")
+    return ContradictionSpec(universe, tuple(strong), tuple(weak), tuple(beats))
 
 
-def _neighbour_masks(pairs: Iterable[tuple[int, int]]) -> tuple[int, dict[int, int]]:
-    """For pairs (i, j): the mask of every i, and per i the mask of its partners j."""
-    masks: dict[int, int] = {}
-    for i, j in pairs:
-        masks[i] = masks.get(i, 0) | 1 << j
-    return sum(1 << i for i in masks), masks
+def _rows(universe: Universe, pairs: Iterable[tuple[str, str]], symmetric: bool,
+          reflexive_error: Callable[[str], Exception]) -> list[int]:
+    """One mask row per object from name pairs (x, y): bit y of row x, or for
+    a symmetric relation the higher index's bit in the lower index's row."""
+    index, rows = universe._index, [0] * len(universe)
+    try:
+        if symmetric:
+            for x, y in pairs:
+                i, j = index[x], index[y]
+                if i > j:
+                    i, j = j, i
+                rows[i] |= 1 << j
+        else:
+            for x, y in pairs:
+                rows[index[x]] |= 1 << index[y]
+    except KeyError as exc:
+        raise UnknownObject(exc.args[0]) from None
+    looped = next((i for i in compress(count(), rows) if rows[i] >> i & 1), None)
+    if looped is not None:
+        raise reflexive_error(universe.objects[looped])
+    return rows
+
+
+def _edges(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j) that the rows hold, ascending."""
+    return ((i, j) for i in compress(count(), rows) for j in iter_bits(rows[i]))
 
 
 @dataclass(frozen=True)
@@ -131,18 +136,16 @@ class DiscViolation:
         return f"{self.kind} ({self.pair[0]}, {self.pair[1]})"
 
 
-def _offending_pairs(
-    a: NegotiationSet, spec: ContradictionSpec
-) -> Iterator[tuple[str, int, int]]:
+def _offending_pairs(a: NegotiationSet, spec: ContradictionSpec) -> Iterator[tuple[str, int, int]]:
     """(kind, i, j) per offending pair: strong ones, then weak ones, each by ascending (i, j)."""
     _same(a.universe, spec.universe, "set and contradiction spec over different universes")
     nec, adm = a.nec, a.adm
-    rows, partners_of = spec._strong_masks
-    for i in iter_bits(adm & rows):
+    partners_of = spec.strong_rows
+    for i in iter_bits(adm & spec.strong_keys):
         for j in iter_bits(partners_of[i] & adm):
             yield STRONG_IN_ADMISSIBILITY, i, j
-    rows, partners_of = spec._weak_masks
-    for i in iter_bits(adm & rows):
+    partners_of = spec.weak_rows
+    for i in iter_bits(adm & spec.weak_keys):
         partners = partners_of[i] & adm
         for j in iter_bits(partners if nec >> i & 1 else partners & nec):
             yield WEAK_WITH_NECESSITY, i, j
@@ -190,20 +193,14 @@ ResolutionPolicy = Strict | ObjectDominance | AgentPriority | FewestNecessities
 class Resolved:
     result: NegotiationSet
     dropped: frozenset[str] = frozenset()
-
-    @property
-    def ok(self) -> bool:
-        return True
+    ok = True
 
 
 @dataclass(frozen=True)
 class Failed:
     reason: str
     pairs: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return False
+    ok = False
 
 
 ResolutionOutcome = Resolved | Failed
@@ -223,6 +220,8 @@ def resolve_odot(
     necessary, so dropping one member of every pair leaves the result in
     DISC without a second scan (decided at three objects in the tests).
     """
+    if not isinstance(policy, ResolutionPolicy):
+        raise PolicyError(f"unknown policy: {policy!r}")
     if not is_disc(a, spec):
         raise InputNotDisc("left operand is not admitted to discussion")
     if not is_disc(b, spec):
@@ -242,13 +241,15 @@ def resolve_odot(
         return Failed("strong conflict", pairs)
 
     if isinstance(policy, ObjectDominance):
-        unordered = tuple((x, y) for x, y in pairs
-                          if not spec.dominates(x, y) and not spec.dominates(y, x))
-        if unordered:
-            return Failed("pair not ordered by dominance", unordered)
         # a pair can lose both members: in a chain y > x > z, x wins (x, z)
         # but loses (x, y)
-        drop = u.mask_of(y if spec.dominates(x, y) else x for x, y in pairs)
+        index, beats = u._index, spec.dominance_rows
+        indexed = [(index[x], index[y]) for x, y in pairs]
+        unordered = tuple(p for p, (i, j) in zip(pairs, indexed)
+                          if not (beats[i] >> j | beats[j] >> i) & 1)
+        if unordered:
+            return Failed("pair not ordered by dominance", unordered)
+        drop = reduce(or_, (1 << j if beats[i] >> j & 1 else 1 << i for i, j in indexed))
     else:
         if isinstance(policy, AgentPriority):
             if agent_names is None or agent_names[0] is None or agent_names[1] is None:
@@ -258,13 +259,11 @@ def resolve_odot(
                     raise PolicyError(f"agent {name!r} missing from priority ranking")
             rank = policy.ranking.index
             preferred = a if rank(agent_names[0]) < rank(agent_names[1]) else b
-        elif isinstance(policy, FewestNecessities):
+        else:  # FewestNecessities
             count_a, count_b = a.nec.bit_count(), b.nec.bit_count()
             if count_a == count_b:
                 return Failed(f"incomparable: both operands have {count_a} necessities", pairs)
             preferred = a if count_a < count_b else b
-        else:
-            raise PolicyError(f"unknown policy: {policy!r}")
         # per pair, the member the preferred operand does not admit
         drop = u.mask_of(chain.from_iterable(pairs)) & ~preferred.adm
 

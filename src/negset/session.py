@@ -461,7 +461,7 @@ def parse_session(text: str) -> SessionScript:
         if uncovered:
             raise ValidationError(f"ranking does not cover agents: {uncovered}", policy_line)
 
-    pairs = [list(chain.from_iterable(zip(xs, ys) for _, xs, ys in runs[k])) for k in _RELATIONS]
+    pairs = [chain.from_iterable(zip(xs, ys) for _, xs, ys in runs[k]) for k in _RELATIONS]
     try:
         spec = make_contradiction_spec(universe, *pairs)
     except NegsetError as exc:

@@ -1,8 +1,9 @@
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import negset as ns
 from negset import consistency
@@ -19,12 +20,13 @@ from negset.consistency import (
 from negset.errors import (
     DominanceNotStrictOrder,
     InputNotDisc,
+    NegsetError,
     OverlappingKinds,
     PolicyError,
     ReflexivePair,
 )
 
-from refimpl import as_pair, ref_is_disc
+from refimpl import RefError, as_pair, ref_is_disc, ref_spec
 
 LETTERS = "abcdef"
 
@@ -76,6 +78,7 @@ class TestContradictionSpec:
         ([("a", "b"), ("b", "c"), ("e", "f"), ("f", "e")], "(e, f) declared in both directions"),
         ([("a", "b"), ("c", "c")], "(c, c) is reflexive"),
         ([("a", "b"), ("b", "a"), ("c", "c")], "(c, c) is reflexive"),
+        ([("h", "b"), ("h", "c"), ("b", "f"), ("c", "a")], "missing transitive pair (h, f)"),
     ])
     def test_dominance_error_text(self, pairs, message):
         # The witness named in each message is part of the CLI's output: the
@@ -95,6 +98,84 @@ class TestContradictionSpec:
         )
         assert spec.dominates("a", "c")
         assert not spec.dominates("c", "a")
+
+
+@st.composite
+def spec_inputs(draw):
+    """Objects of a universe of at most six, and strong, weak and dominance
+    name pairs in random order: they may repeat and may hold unknown names,
+    reflexive pairs, strong/weak overlaps, pairs declared both ways and
+    missing transitive pairs."""
+    def sometimes():
+        return draw(st.integers(0, 3)) == 0
+
+    objects = tuple(LETTERS[:draw(st.integers(1, 6))])
+    names = objects + ("y", "z") if sometimes() else objects
+    reflexive = sometimes()
+    candidates = [(x, y) for x in names for y in names if reflexive or x != y]
+    pairs = st.lists(st.sampled_from(candidates), max_size=8) if candidates else st.just([])
+    strong = draw(pairs)
+    weak = [(x, y) for x, y in draw(pairs) if (x, y) not in strong and (y, x) not in strong]
+    if strong and sometimes():
+        weak += [p[::-1] for p in draw(st.lists(st.sampled_from(strong), min_size=1, max_size=3))]
+    # a total order over some objects, perhaps with pairs missing, plus a few
+    # arbitrary pairs
+    ranking = draw(st.permutations(objects))[:draw(st.integers(min(2, len(objects)), 6))]
+    dominance = list(itertools.combinations(ranking, 2))
+    if len(dominance) > 1 and draw(st.booleans()):
+        missing = draw(st.sets(st.sampled_from(dominance), min_size=1, max_size=4))
+        dominance = [p for p in dominance if p not in missing]
+    dominance += draw(pairs)[:draw(st.integers(0, 2))]
+    return (objects, draw(st.permutations(strong * 2)), draw(st.permutations(weak)),
+            draw(st.permutations(dominance * 2)))
+
+
+@settings(max_examples=400)
+@given(spec_inputs())
+def test_spec_matches_reference(case):
+    objects, strong, weak, dominance = case
+    u = ns.make_universe(list(objects))
+    try:
+        expected = ref_spec(objects, strong, weak, dominance)
+    except RefError as exc:
+        with pytest.raises(NegsetError) as info:
+            ns.make_contradiction_spec(u, iter(strong), iter(weak), iter(dominance))
+        assert (type(info.value).__name__, str(info.value)) == (exc.kind, str(exc))
+        return
+    spec = ns.make_contradiction_spec(u, iter(strong), iter(weak), iter(dominance))
+    assert (spec.strong, spec.weak, spec.dominance) == expected
+    for i, j in itertools.product(range(len(objects)), repeat=2):
+        assert spec.dominates(objects[i], objects[j]) == ((i, j) in expected[2])
+
+
+class TestSpecValue:
+    def pairs(self):
+        strong, weak = [("a", "b"), ("c", "a"), ("b", "d")], [("d", "c")]
+        return strong, weak, [("a", "b"), ("b", "c"), ("a", "c")]
+
+    def test_equal_whatever_the_order_and_repeats(self):
+        strong, weak, dominance = self.pairs()
+        one = ns.make_contradiction_spec(ns.make_universe(list("abcd")), strong, weak, dominance)
+        other = ns.make_contradiction_spec(
+            ns.make_universe(list("abcd")), [("d", "b"), ("a", "c"), ("b", "a"), ("a", "b")],
+            weak * 2, dominance[::-1] + dominance,
+        )
+        assert one == other
+        assert hash(one) == hash(other)
+        u = one.universe
+        assert one != ns.make_contradiction_spec(u, strong, weak)
+        assert one != ns.make_contradiction_spec(u, strong, [], dominance)
+        assert one != ns.make_contradiction_spec(u, weak, strong, dominance)
+        assert one != ns.make_contradiction_spec(ns.make_universe(list("abcde")), strong, weak, dominance)
+
+    @pytest.mark.parametrize("name", ["universe", "strong_rows", "weak_rows", "dominance_rows",
+                                      "strong_keys", "weak_keys", "strong", "weak", "dominance"])
+    def test_assigning_an_attribute_raises(self, name):
+        spec = ns.make_contradiction_spec(ns.make_universe(list("abcd")), *self.pairs())
+        before = getattr(spec, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, name, before)
+        assert getattr(spec, name) == before
 
 
 class TestDisc:
@@ -147,6 +228,15 @@ class TestResolveOdot:
         assert isinstance(outcome, Resolved)
         assert outcome.result == a
         assert not outcome.dropped
+
+    def test_unknown_policy_raises_before_any_scan(self):
+        # checked up front, so it raises with or without a conflict, and
+        # before a non-DISC operand is reported
+        u, spec, a, b = conflict_fixture()
+        both = ns.negset_of(u, [], ["a", "b"])
+        for left, right in ((a, a), (a, b), (both, a)):
+            with pytest.raises(PolicyError, match=r"^unknown policy: 'no-such-policy'$"):
+                ns.resolve_odot(left, right, spec, "no-such-policy")
 
     def test_strict_fails(self):
         _, spec, a, b = conflict_fixture()

@@ -297,6 +297,16 @@ class TestRoundTrip:
         assert script.dominance == (("c", "a"),)
         assert script != parse_session(base)
 
+    def test_scripts_equal_only_when_their_specs_are(self):
+        head = "universe a b c\nagent A = [{} {a}]\n"
+        one = parse_session(head + "strong a b\nstrong c b\ndominance a > b\n")
+        other = parse_session(head + "strong b c\nstrong b a\nstrong a b\ndominance a > b\n")
+        assert one.spec == other.spec and hash(one.spec) == hash(other.spec)
+        assert one == other
+        for changed in ("strong a b\nweak c b\ndominance a > b\n", "strong a b\nstrong c b\n"):
+            script = parse_session(head + changed)
+            assert script.spec != one.spec and script != one
+
 
 class TestEvaluation:
     def test_trip_report(self):

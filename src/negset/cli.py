@@ -7,10 +7,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import oracle
 from .consistency import disc_violations, make_contradiction_spec
 from .errors import NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw
 from .session import (
@@ -118,7 +116,7 @@ def _law_line(report: oracle.LawReport) -> str:
 
 
 def _report_json(report: oracle.LawReport) -> dict:
-    return {**asdict(report), "matches_expected": report.matches_expected}
+    return dict(zip(report._fields, report._values()), matches_expected=report.matches_expected)
 
 
 def _fixture_line(result: oracle.FixtureResult) -> str:
@@ -140,6 +138,8 @@ def cmd_laws(
     out=None,
     err=None,
 ) -> int:
+    from . import oracle  # loaded on first use; perfbench/tracing.py patches its names
+
     out = out or sys.stdout
     err = err or sys.stderr
     law_ids = oracle.law_ids() if run_all else [law]
@@ -167,6 +167,8 @@ def cmd_laws(
 
 
 def cmd_fixtures(fixture: str | None, as_json: bool, out=None, err=None) -> int:
+    from . import oracle
+
     out = out or sys.stdout
     err = err or sys.stderr
     ids = [fixture] if fixture else oracle.fixture_ids()

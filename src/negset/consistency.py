@@ -9,13 +9,12 @@ policies here decide what happens then.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress, count
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import NegotiationSet, Universe, _from_masks, _same, iter_bits, odot
+from .core import NegotiationSet, Record, Universe, _from_masks, _same, _slot_setters, iter_bits, odot
 from .errors import (
     DominanceNotStrictOrder,
     InputNotDisc,
@@ -29,8 +28,7 @@ STRONG_IN_ADMISSIBILITY = "strong-in-admissibility"
 WEAK_WITH_NECESSITY = "weak-with-necessity"
 
 
-@dataclass(frozen=True)
-class ContradictionSpec:
+class ContradictionSpec(Record):
     """Strong and weak contradiction pairs, plus an optional dominance order.
 
     Each relation is one mask row per object: strong and weak row i holds the
@@ -38,21 +36,22 @@ class ContradictionSpec:
     The keys are the masks of the objects whose strong or weak row is not empty.
     """
 
-    universe: Universe
-    strong_rows: tuple[int, ...]
-    weak_rows: tuple[int, ...]
-    dominance_rows: tuple[int, ...]
-    strong_keys: int = field(init=False, repr=False, compare=False)
-    weak_keys: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("universe", "strong_rows", "weak_rows", "dominance_rows", "strong_keys", "weak_keys")
+    _fields = __slots__[:4]
 
     # read-only views: index pairs (i, j) with i < j, dominance pairs (winner, loser)
     strong = property(lambda self: frozenset(_edges(self.strong_rows)))
     weak = property(lambda self: frozenset(_edges(self.weak_rows)))
     dominance = property(lambda self: frozenset(_edges(self.dominance_rows)))
 
-    def __post_init__(self):
-        for name, rows in (("strong_keys", self.strong_rows), ("weak_keys", self.weak_rows)):
-            object.__setattr__(self, name, sum(map((1).__lshift__, compress(count(), rows))))
+    def __init__(self, universe: Universe, strong_rows: tuple[int, ...],
+                 weak_rows: tuple[int, ...], dominance_rows: tuple[int, ...]):
+        _set_universe(self, universe)
+        _set_strong_rows(self, strong_rows)
+        _set_weak_rows(self, weak_rows)
+        _set_dominance_rows(self, dominance_rows)
+        _set_strong_keys(self, _keys(strong_rows))
+        _set_weak_keys(self, _keys(weak_rows))
 
     def pair_names(self, pair: tuple[int, int]) -> tuple[str, str]:
         return self.universe.objects[pair[0]], self.universe.objects[pair[1]]
@@ -63,6 +62,15 @@ class ContradictionSpec:
     @property
     def empty(self) -> bool:
         return not self.strong_keys and not self.weak_keys
+
+
+(_set_universe, _set_strong_rows, _set_weak_rows, _set_dominance_rows,
+ _set_strong_keys, _set_weak_keys) = _slot_setters(ContradictionSpec)
+
+
+def _keys(rows: Sequence[int]) -> int:
+    """The mask of the non-empty rows."""
+    return sum(map((1).__lshift__, compress(count(), rows)))
 
 
 def make_contradiction_spec(
@@ -127,13 +135,18 @@ def _edges(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
     return ((i, j) for i in compress(count(), rows) for j in iter_bits(rows[i]))
 
 
-@dataclass(frozen=True)
-class DiscViolation:
-    kind: str
-    pair: tuple[str, str]
+class DiscViolation(Record):
+    __slots__ = _fields = ("kind", "pair")
+
+    def __init__(self, kind: str, pair: tuple[str, str]):
+        _set_kind(self, kind)
+        _set_pair(self, pair)
 
     def __str__(self) -> str:
         return f"{self.kind} ({self.pair[0]}, {self.pair[1]})"
+
+
+_set_kind, _set_pair = _slot_setters(DiscViolation)
 
 
 def _offending_pairs(a: NegotiationSet, spec: ContradictionSpec) -> Iterator[tuple[str, int, int]]:
@@ -165,43 +178,57 @@ def is_disc(a: NegotiationSet, spec: ContradictionSpec) -> bool:
 
 # --- resolution policies ---
 
-@dataclass(frozen=True)
-class Strict:
+class Strict(Record):
+    __slots__ = ()
     name = "strict"
 
 
-@dataclass(frozen=True)
-class ObjectDominance:
+class ObjectDominance(Record):
+    __slots__ = ()
     name = "dominance"
 
 
-@dataclass(frozen=True)
-class AgentPriority:
-    ranking: tuple[str, ...]
+class AgentPriority(Record):
+    __slots__ = _fields = ("ranking",)
     name = "agent-priority"
 
+    def __init__(self, ranking: tuple[str, ...]):
+        _set_ranking(self, ranking)
 
-@dataclass(frozen=True)
-class FewestNecessities:
+
+[_set_ranking] = _slot_setters(AgentPriority)
+
+
+class FewestNecessities(Record):
+    __slots__ = ()
     name = "fewest-necessities"
 
 
 ResolutionPolicy = Strict | ObjectDominance | AgentPriority | FewestNecessities
 
 
-@dataclass(frozen=True)
-class Resolved:
-    result: NegotiationSet
-    dropped: frozenset[str] = frozenset()
+class Resolved(Record):
+    __slots__ = _fields = ("result", "dropped")
     ok = True
 
+    def __init__(self, result: NegotiationSet, dropped: frozenset[str] = frozenset()):
+        _set_result(self, result)
+        _set_dropped(self, dropped)
 
-@dataclass(frozen=True)
-class Failed:
-    reason: str
-    pairs: tuple[tuple[str, str], ...] = ()
+
+_set_result, _set_dropped = _slot_setters(Resolved)
+
+
+class Failed(Record):
+    __slots__ = _fields = ("reason", "pairs")
     ok = False
 
+    def __init__(self, reason: str, pairs: tuple[tuple[str, str], ...] = ()):
+        _set_reason(self, reason)
+        _set_pairs(self, pairs)
+
+
+_set_reason, _set_pairs = _slot_setters(Failed)
 
 ResolutionOutcome = Resolved | Failed
 

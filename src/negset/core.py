@@ -8,7 +8,6 @@ a couple of integer operations and all output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
@@ -43,17 +42,58 @@ def _sparse_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Universe:
+class Record:
+    """Base of the immutable values.  A subclass names its fields once, as
+    ``__slots__ = _fields = (...)``, and its ``__init__`` sets them through the
+    slots' own setters (see ``_slot_setters``).  Instances compare, hash,
+    print and pickle by their fields as frozen dataclass instances do."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # loaded on this error path only
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The setters of ``cls``'s own slots, in order, which its blocked
+    ``__setattr__`` does not reach."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+class Universe(Record):
     """Ordered, finite collection of distinct object names."""
 
-    objects: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    full_mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("objects", "_index", "full_mask")
+    _fields = ("objects",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.objects)})
-        object.__setattr__(self, "full_mask", (1 << len(self.objects)) - 1)
+    def __init__(self, objects: tuple[str, ...]):
+        _set_objects(self, objects)
+        _set_index(self, {name: i for i, name in enumerate(objects)})
+        _set_full_mask(self, (1 << len(objects)) - 1)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -80,6 +120,9 @@ class Universe:
         return tuple(map(self.objects.__getitem__, iter_bits(mask)))
 
 
+_set_objects, _set_index, _set_full_mask = _slot_setters(Universe)
+
+
 def make_universe(names: Sequence[str]) -> Universe:
     """Build a universe, enforcing non-emptiness and name validity."""
     if not names:
@@ -94,16 +137,16 @@ def make_universe(names: Sequence[str]) -> Universe:
     return Universe(tuple(names))
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(Record):
     """Subset of a universe, represented as a bitmask."""
 
-    universe: Universe
-    mask: int
+    __slots__ = _fields = ("universe", "mask")
 
-    def __post_init__(self):
-        if self.mask & ~self.universe.full_mask:
-            raise UnknownObject(f"mask {self.mask:#x} has bits outside the universe")
+    def __init__(self, universe: Universe, mask: int):
+        if mask & ~universe.full_mask:
+            raise UnknownObject(f"mask {mask:#x} has bits outside the universe")
+        _set_finite_universe(self, universe)
+        _set_finite_mask(self, mask)
 
     @classmethod
     def of(cls, universe: Universe, names: Iterable[str]) -> "FiniteSet":
@@ -155,6 +198,9 @@ class FiniteSet:
         return "{" + " ".join(self.names()) + "}"
 
 
+_set_finite_universe, _set_finite_mask = _slot_setters(FiniteSet)
+
+
 class InclusionMode(Enum):
     """Which components participate in an inclusion test."""
 
@@ -171,7 +217,7 @@ class SpecialKind(Enum):
     POINT_FULL = "point-full"
 
 
-class NegotiationSet:
+class NegotiationSet(Record):
     """Pair [necessity, admissibility] with necessity contained in admissibility, kept
     flat and immutable as the masks ``nec`` and ``adm`` over ``universe``.  The
     constructor checks its sets; operators build their results with ``_from_masks``."""
@@ -189,12 +235,6 @@ class NegotiationSet:
     @property
     def admissibility(self) -> FiniteSet:
         return FiniteSet(self.universe, self.adm)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not NegotiationSet:
@@ -216,8 +256,7 @@ class NegotiationSet:
         return f"[{{{' '.join(names(self.nec))}}} {{{' '.join(names(self.adm))}}}]"
 
 
-# the slots' own setters, which the blocked __setattr__ does not reach
-_set_universe, _set_nec, _set_adm = (getattr(NegotiationSet, n).__set__ for n in NegotiationSet.__slots__)
+_set_universe, _set_nec, _set_adm = _slot_setters(NegotiationSet)
 
 
 def _from_masks(u: Universe, nec: int, adm: int) -> NegotiationSet:

@@ -21,15 +21,16 @@ worked example from raw inputs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable
 
 from .core import (
     NegotiationSet,
+    Record,
     Universe,
     _from_masks,
+    _slot_setters,
     complement,
     complement_masks,
     make_universe,
@@ -88,15 +89,19 @@ def _fmt(universe: Universe, nec: int, adm: int) -> str:
     return str(_from_masks(universe, nec, adm))
 
 
-@dataclass(frozen=True)
-class LawReport:
-    law: str
-    size: int
-    checked: int
-    verdict: str
-    counterexamples: tuple[str, ...]
-    violation_count: int
-    elapsed: float
+class LawReport(Record):
+    __slots__ = _fields = ("law", "size", "checked", "verdict", "counterexamples",
+                           "violation_count", "elapsed")
+
+    def __init__(self, law: str, size: int, checked: int, verdict: str,
+                 counterexamples: tuple[str, ...], violation_count: int, elapsed: float):
+        _set_law(self, law)
+        _set_size(self, size)
+        _set_checked(self, checked)
+        _set_verdict(self, verdict)
+        _set_counterexamples(self, counterexamples)
+        _set_violation_count(self, violation_count)
+        _set_elapsed(self, elapsed)
 
     @property
     def matches_expected(self) -> bool:
@@ -105,16 +110,26 @@ class LawReport:
         return found == expected
 
 
+(_set_law, _set_size, _set_checked, _set_verdict, _set_counterexamples,
+ _set_violation_count, _set_elapsed) = _slot_setters(LawReport)
+
+
 # A law's cases at size n: the tuples to check, a predicate taking one tuple
 # as arguments, and the text of a tuple reported as a counterexample.
 Cases = tuple[Iterable[tuple], Callable[..., bool], Callable[[tuple], str]]
 
 
-@dataclass(frozen=True)
-class LawSpec:
-    law_id: str
-    expects_counterexample: bool
-    cases: Callable[[int, ContradictionSpec | None], Cases]
+class LawSpec(Record):
+    __slots__ = _fields = ("law_id", "expects_counterexample", "cases")
+
+    def __init__(self, law_id: str, expects_counterexample: bool,
+                 cases: Callable[[int, ContradictionSpec | None], Cases]):
+        _set_law_id(self, law_id)
+        _set_expects_counterexample(self, expects_counterexample)
+        _set_cases(self, cases)
+
+
+_set_law_id, _set_expects_counterexample, _set_cases = _slot_setters(LawSpec)
 
 
 def _sweep(arity, predicate):
@@ -396,11 +411,16 @@ def check_law(
 
 # --- fixture catalog: worked examples re-derived from raw inputs ---
 
-@dataclass(frozen=True)
-class FixtureResult:
-    fixture_id: str
-    passed: bool
-    note: str = ""
+class FixtureResult(Record):
+    __slots__ = _fields = ("fixture_id", "passed", "note")
+
+    def __init__(self, fixture_id: str, passed: bool, note: str = ""):
+        _set_fixture_id(self, fixture_id)
+        _set_passed(self, passed)
+        _set_note(self, note)
+
+
+_set_fixture_id, _set_passed, _set_note = _slot_setters(FixtureResult)
 
 
 TRIP_UNIVERSE = make_universe(list("abcdefghikl"))  # eleven items, no "j"

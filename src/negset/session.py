@@ -25,13 +25,22 @@ complement; ``odot(A, B, C)`` etc. are the n-ary forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from . import core
-from .core import NegotiationSet, Universe, _from_masks, _same, iter_bits, make_universe, negset_of
+from .core import (
+    NegotiationSet,
+    Record,
+    Universe,
+    _from_masks,
+    _same,
+    _slot_setters,
+    iter_bits,
+    make_universe,
+    negset_of,
+)
 from .consistency import (
     AgentPriority,
     ContradictionSpec,
@@ -89,47 +98,67 @@ class ResolutionFailed(NegsetError):
 Program = tuple
 
 
-@dataclass(frozen=True)
-class Let:
-    name: str
-    expr: Program
+class Let(Record):
+    __slots__ = _fields = ("name", "expr")
+
+    def __init__(self, name: str, expr: Program):
+        _set_let_name(self, name)
+        _set_let_expr(self, expr)
 
 
-@dataclass(frozen=True)
-class Eval:
-    expr: Program
+class Eval(Record):
+    __slots__ = _fields = ("expr",)
+
+    def __init__(self, expr: Program):
+        _set_eval_expr(self, expr)
 
 
-@dataclass(frozen=True)
-class AssertDisc:
-    expr: Program
+class AssertDisc(Record):
+    __slots__ = _fields = ("expr",)
+
+    def __init__(self, expr: Program):
+        _set_assert_expr(self, expr)
 
 
-@dataclass(frozen=True)
-class Expect:
-    expr: Program
-    target: NegotiationSet
+class Expect(Record):
+    __slots__ = _fields = ("expr", "target")
 
+    def __init__(self, expr: Program, target: NegotiationSet):
+        _set_expect_expr(self, expr)
+        _set_expect_target(self, target)
+
+
+_set_let_name, _set_let_expr = _slot_setters(Let)
+[_set_eval_expr] = _slot_setters(Eval)
+[_set_assert_expr] = _slot_setters(AssertDisc)
+_set_expect_expr, _set_expect_target = _slot_setters(Expect)
 
 Statement = Let | Eval | AssertDisc | Expect
 _KIND = {Let: "let", Eval: "eval", AssertDisc: "assert_disc", Expect: "expect"}
 
 
-@dataclass(frozen=True)
-class SessionScript:
-    universe: Universe
-    agents: tuple[tuple[str, NegotiationSet], ...]
-    policy: ResolutionPolicy
-    statements: tuple[Statement, ...]
-    spec: ContradictionSpec  # the declared relations, built and validated once
+class SessionScript(Record):
+    __slots__ = _fields = ("universe", "agents", "policy", "statements", "spec")
 
     # read-only views of the spec: its index pairs in order, as object names
     strong = property(lambda self: self._names(self.spec.strong))
     weak = property(lambda self: self._names(self.spec.weak))
     dominance = property(lambda self: self._names(self.spec.dominance))
 
+    def __init__(self, universe: Universe, agents: tuple[tuple[str, NegotiationSet], ...],
+                 policy: ResolutionPolicy, statements: tuple[Statement, ...],
+                 spec: ContradictionSpec):
+        _set_universe(self, universe)
+        _set_agents(self, agents)
+        _set_policy(self, policy)
+        _set_statements(self, statements)
+        _set_spec(self, spec)  # the declared relations, built and validated once
+
     def _names(self, pairs: frozenset[tuple[int, int]]) -> tuple[tuple[str, str], ...]:
         return tuple(map(self.spec.pair_names, sorted(pairs)))
+
+
+_set_universe, _set_agents, _set_policy, _set_statements, _set_spec = _slot_setters(SessionScript)
 
 
 # --- lexer ---
@@ -547,23 +576,31 @@ def print_session(script: SessionScript) -> str:
 
 # --- evaluation ---
 
-@dataclass(slots=True)
-class StatementResult:
-    kind: str
-    source: str
-    ok: bool
-    value: NegotiationSet | None = None
-    detail: str = ""
-    notes: tuple[str, ...] = ()
+class StatementResult(Record):
+    __slots__ = _fields = ("kind", "source", "ok", "value", "detail", "notes")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
+
+    def __init__(self, kind: str, source: str, ok: bool, value: NegotiationSet | None = None,
+                 detail: str = "", notes: tuple[str, ...] = ()):
+        self.kind = kind
+        self.source = source
+        self.ok = ok
+        self.value = value
+        self.detail = detail
+        self.notes = notes
 
 
-@dataclass
-class SessionReport:
-    universe: Universe
-    results: list[StatementResult] = field(default_factory=list)
-    halted: bool = False
-    halt_reason: str = ""
-    halt_kind: str = ""  # "resolution" or "error" when halted
+class SessionReport(Record):
+    __slots__ = _fields = ("universe", "results", "halted", "halt_reason", "halt_kind")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
+
+    def __init__(self, universe: Universe, results: list[StatementResult] | None = None,
+                 halted: bool = False, halt_reason: str = "", halt_kind: str = ""):
+        self.universe = universe
+        self.results = [] if results is None else results
+        self.halted = halted
+        self.halt_reason = halt_reason
+        self.halt_kind = halt_kind  # "resolution" or "error" when halted
 
     @property
     def all_ok(self) -> bool:

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negset import cli
 from negset.consistency import disc_violations, make_contradiction_spec
@@ -418,3 +419,36 @@ class TestParserReuse:
         assert run(["eval", str(SESSIONS / "trip.ns")])[0] == 0
         assert run(["check", str(SESSIONS / "trip.ns")])[0] == 0
         assert cli.build_parser() is cli.build_parser()
+
+
+# --- any edit of a working script ends in a documented exit code ---
+
+SCRIPTS = sorted(p.read_text(encoding="utf-8") for p in SESSIONS.glob("*.ns"))
+EDIT_CHARS = st.one_of(
+    st.sampled_from(list("()[]{},=>#.-_ \n\t\rabé;@'")),
+    st.characters(blacklist_categories=("Cs",)),  # UTF-8 has no lone surrogate
+)
+
+
+@st.composite
+def edited_scripts(draw):
+    """A sessions/*.ns script with one to four characters inserted, deleted or replaced."""
+    text = draw(st.sampled_from(SCRIPTS))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = draw(st.integers(0, len(text) - (kind != "insert")))
+        new = "" if kind == "delete" else draw(EDIT_CHARS)
+        text = text[:at] + new + text[at + (kind != "insert"):]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(edited_scripts())
+def test_edited_scripts_end_in_a_documented_code(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "edited.ns"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["eval"], ["eval", "--json"], ["check"], ["check", "--json"]):
+        code, _, err = run([*argv, str(path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_FAILED_CHECKS, cli.EXIT_PARSE,
+                        cli.EXIT_RESOLUTION, cli.EXIT_CONFIG), (argv, text)
+        assert "Traceback" not in err

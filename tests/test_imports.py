@@ -1,0 +1,57 @@
+"""What ``import negset`` binds and loads: the public names stay fixed, and
+the law oracle and the dataclass machinery are left out until used."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import negset
+
+SRC = str(Path(negset.__file__).resolve().parent.parent)
+
+PUBLIC = [
+    "AgentPriority", "ContradictionSpec", "DiscViolation", "Failed", "FewestNecessities",
+    "FiniteSet", "InclusionMode", "NegotiationSet", "ObjectDominance", "Resolved",
+    "SessionReport", "SessionScript", "SpecialKind", "Strict", "Universe",
+    "check_law", "complement", "consistency", "core", "difference", "disc_violations",
+    "enumerate_negsets", "errors", "eval_expr", "fixture_ids", "format_negset", "included",
+    "inter_all", "is_disc", "law_ids", "make_contradiction_spec", "make_negset",
+    "make_universe", "negset_of", "odot", "odot_all", "oplus", "oplus_all", "oracle",
+    "parse_session", "print_session", "resolve_odot", "run_session", "session", "special",
+    "union_all", "verify_fixture",
+]
+
+
+def test_all_lists_the_public_names():
+    assert negset.__all__ == PUBLIC
+    assert len(PUBLIC) == 47
+
+
+def test_star_import_binds_every_public_name():
+    bound = {}
+    exec("from negset import *", bound)
+    assert sorted(set(bound) - {"__builtins__"}) == PUBLIC
+    assert bound["oracle"] is negset.oracle
+    assert bound["law_ids"] is negset.oracle.law_ids
+
+
+def test_unknown_attribute_raises_attribute_error():
+    assert not hasattr(negset, "no_such_name")
+
+
+PROBE = """
+import sys
+before = set(sys.modules)
+import negset
+import negset.cli
+print(sorted(set(sys.modules) - before & {"negset.oracle", "dataclasses", "inspect"}))
+print(negset.law_ids()[0], "negset.oracle" in sys.modules)
+"""
+
+
+def test_import_leaves_the_oracle_and_dataclasses_unloaded():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["[]", "idempotence-odot True"]

@@ -1,9 +1,9 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import negset as ns
-from negset import oracle
+from negset import core, oracle
 from negset.core import complement_masks, odot_masks, oplus_masks
 from negset.errors import SizeOutOfRange, UnknownFixture, UnknownLaw
 from refimpl import as_pair, ref_complement, ref_odot, ref_oplus
@@ -180,3 +180,32 @@ class TestFixtures:
     def test_unknown(self):
         with pytest.raises(UnknownFixture):
             oracle.verify_fixture("bogus")
+
+
+# The premise of DECIDING_SIZE: every mask operator of core acts on each
+# object separately, so its result projected onto one object is the operator
+# applied to the operands projected onto that object.
+MASK_OPS = sorted(name for name in vars(core) if name.endswith("_masks") and name[0] != "_")
+
+
+def test_every_mask_operator_is_checked():
+    assert {"odot_masks", "oplus_masks", "complement_masks", "union_masks",
+            "inter_masks", "difference_masks"} <= set(MASK_OPS)
+
+
+@pytest.mark.parametrize("name", MASK_OPS)
+def test_mask_operators_act_on_each_object_separately(name):
+    op = getattr(core, name)
+    # (full, nec, adm) for the complement, (nec1, adm1, nec2, adm2) for the rest
+    takes_full, arity = op.__code__.co_argcount % 2, op.__code__.co_argcount // 2
+    n = oracle.DECIDING_SIZE
+    full = (1 << n) - 1
+    checked = 0
+    for operands in product(oracle.enumerate_mask_pairs(n), repeat=arity):
+        masks = [m for pair in operands for m in pair]
+        nec, adm = op(*[full] * takes_full, *masks)
+        for i in range(n):
+            projected = [m >> i & 1 for m in masks]
+            assert (nec >> i & 1, adm >> i & 1) == op(*[1] * takes_full, *projected), (operands, i)
+        checked += 1
+    assert checked == 3 ** (n * arity)

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING
 
 from .consistency import disc_violations, make_contradiction_spec
 from .errors import NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw
@@ -23,6 +24,9 @@ from .session import (
     parse_session,
     run_session,
 )
+
+if TYPE_CHECKING:  # for annotations; the commands import the oracle on first use
+    from . import oracle
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
@@ -138,7 +142,7 @@ def cmd_laws(
     out=None,
     err=None,
 ) -> int:
-    from . import oracle  # loaded on first use; perfbench/tracing.py patches its names
+    from . import oracle  # perfbench/tracing.py patches names on this module
 
     out = out or sys.stdout
     err = err or sys.stderr

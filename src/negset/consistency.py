@@ -14,7 +14,7 @@ from itertools import chain, compress, count
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import NegotiationSet, Record, Universe, _from_masks, _same, _slot_setters, iter_bits, odot
+from .core import NegotiationSet, Record, Universe, _from_masks, _same, iter_bits, odot
 from .errors import (
     DominanceNotStrictOrder,
     InputNotDisc,
@@ -46,12 +46,12 @@ class ContradictionSpec(Record):
 
     def __init__(self, universe: Universe, strong_rows: tuple[int, ...],
                  weak_rows: tuple[int, ...], dominance_rows: tuple[int, ...]):
-        _set_universe(self, universe)
-        _set_strong_rows(self, strong_rows)
-        _set_weak_rows(self, weak_rows)
-        _set_dominance_rows(self, dominance_rows)
-        _set_strong_keys(self, _keys(strong_rows))
-        _set_weak_keys(self, _keys(weak_rows))
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "strong_rows", strong_rows)
+        object.__setattr__(self, "weak_rows", weak_rows)
+        object.__setattr__(self, "dominance_rows", dominance_rows)
+        object.__setattr__(self, "strong_keys", _keys(strong_rows))
+        object.__setattr__(self, "weak_keys", _keys(weak_rows))
 
     def pair_names(self, pair: tuple[int, int]) -> tuple[str, str]:
         return self.universe.objects[pair[0]], self.universe.objects[pair[1]]
@@ -62,10 +62,6 @@ class ContradictionSpec(Record):
     @property
     def empty(self) -> bool:
         return not self.strong_keys and not self.weak_keys
-
-
-(_set_universe, _set_strong_rows, _set_weak_rows, _set_dominance_rows,
- _set_strong_keys, _set_weak_keys) = _slot_setters(ContradictionSpec)
 
 
 def _keys(rows: Sequence[int]) -> int:
@@ -138,15 +134,8 @@ def _edges(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
 class DiscViolation(Record):
     __slots__ = _fields = ("kind", "pair")
 
-    def __init__(self, kind: str, pair: tuple[str, str]):
-        _set_kind(self, kind)
-        _set_pair(self, pair)
-
     def __str__(self) -> str:
         return f"{self.kind} ({self.pair[0]}, {self.pair[1]})"
-
-
-_set_kind, _set_pair = _slot_setters(DiscViolation)
 
 
 def _offending_pairs(a: NegotiationSet, spec: ContradictionSpec) -> Iterator[tuple[str, int, int]]:
@@ -192,12 +181,6 @@ class AgentPriority(Record):
     __slots__ = _fields = ("ranking",)
     name = "agent-priority"
 
-    def __init__(self, ranking: tuple[str, ...]):
-        _set_ranking(self, ranking)
-
-
-[_set_ranking] = _slot_setters(AgentPriority)
-
 
 class FewestNecessities(Record):
     __slots__ = ()
@@ -209,26 +192,15 @@ ResolutionPolicy = Strict | ObjectDominance | AgentPriority | FewestNecessities
 
 class Resolved(Record):
     __slots__ = _fields = ("result", "dropped")
+    _defaults = (frozenset(),)
     ok = True
-
-    def __init__(self, result: NegotiationSet, dropped: frozenset[str] = frozenset()):
-        _set_result(self, result)
-        _set_dropped(self, dropped)
-
-
-_set_result, _set_dropped = _slot_setters(Resolved)
 
 
 class Failed(Record):
     __slots__ = _fields = ("reason", "pairs")
+    _defaults = ((),)
     ok = False
 
-    def __init__(self, reason: str, pairs: tuple[tuple[str, str], ...] = ()):
-        _set_reason(self, reason)
-        _set_pairs(self, pairs)
-
-
-_set_reason, _set_pairs = _slot_setters(Failed)
 
 ResolutionOutcome = Resolved | Failed
 

@@ -44,12 +44,18 @@ def _sparse_bits(mask: int) -> Iterator[int]:
 
 class Record:
     """Base of the immutable values.  A subclass names its fields once, as
-    ``__slots__ = _fields = (...)``, and its ``__init__`` sets them through the
-    slots' own setters (see ``_slot_setters``).  Instances compare, hash,
+    ``__slots__ = _fields = (...)``, with ``_defaults`` for its last fields, and
+    gets a compiled ``__init__`` taking them in order.  Instances compare, hash,
     print and pickle by their fields as frozen dataclass instances do."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields and "__init__" not in cls.__dict__:
+            cls.__init__ = _compiled_init(cls)
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError  # loaded on this error path only
@@ -78,10 +84,24 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-def _slot_setters(cls: type) -> tuple:
-    """The setters of ``cls``'s own slots, in order, which its blocked
-    ``__setattr__`` does not reach."""
-    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+def _compiled_init(cls: type):
+    """``def __init__(self, <fields>)``, the code one would write by hand: a
+    frozen record sets each field through its slot's own setter, which the
+    blocked ``__setattr__`` does not reach; a mutable one assigns it."""
+    fields = cls._fields
+    if cls.__setattr__ is Record.__setattr__:
+        namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
+        body = [f"_set_{name}(self, {name})" for name in fields]
+    else:
+        namespace, body = {}, [f"self.{name} = {name}" for name in fields]
+    source = f"def __init__(self, {', '.join(fields)}):\n    " + "\n    ".join(body)
+    # a file name per class keeps profiles and tracebacks from merging the constructors
+    exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = cls._defaults or None  # None, as for a def without defaults
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 class Universe(Record):
@@ -91,9 +111,9 @@ class Universe(Record):
     _fields = ("objects",)
 
     def __init__(self, objects: tuple[str, ...]):
-        _set_objects(self, objects)
-        _set_index(self, {name: i for i, name in enumerate(objects)})
-        _set_full_mask(self, (1 << len(objects)) - 1)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(objects)})
+        object.__setattr__(self, "full_mask", (1 << len(objects)) - 1)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -120,9 +140,6 @@ class Universe(Record):
         return tuple(map(self.objects.__getitem__, iter_bits(mask)))
 
 
-_set_objects, _set_index, _set_full_mask = _slot_setters(Universe)
-
-
 def make_universe(names: Sequence[str]) -> Universe:
     """Build a universe, enforcing non-emptiness and name validity."""
     if not names:
@@ -145,8 +162,8 @@ class FiniteSet(Record):
     def __init__(self, universe: Universe, mask: int):
         if mask & ~universe.full_mask:
             raise UnknownObject(f"mask {mask:#x} has bits outside the universe")
-        _set_finite_universe(self, universe)
-        _set_finite_mask(self, mask)
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def of(cls, universe: Universe, names: Iterable[str]) -> "FiniteSet":
@@ -163,21 +180,6 @@ class FiniteSet(Record):
     def _check(self, other: "FiniteSet") -> None:
         _same(self.universe, other.universe, "sets over different universes")
 
-    def __or__(self, other: "FiniteSet") -> "FiniteSet":
-        self._check(other)
-        return FiniteSet(self.universe, self.mask | other.mask)
-
-    def __and__(self, other: "FiniteSet") -> "FiniteSet":
-        self._check(other)
-        return FiniteSet(self.universe, self.mask & other.mask)
-
-    def __sub__(self, other: "FiniteSet") -> "FiniteSet":
-        self._check(other)
-        return FiniteSet(self.universe, self.mask & ~other.mask)
-
-    def complement(self) -> "FiniteSet":
-        return FiniteSet(self.universe, self.universe.full_mask & ~self.mask)
-
     def issubset(self, other: "FiniteSet") -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0
@@ -191,14 +193,8 @@ class FiniteSet(Record):
     def names(self) -> tuple[str, ...]:
         return self.universe.names_of(self.mask)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
     def __str__(self) -> str:
         return "{" + " ".join(self.names()) + "}"
-
-
-_set_finite_universe, _set_finite_mask = _slot_setters(FiniteSet)
 
 
 class InclusionMode(Enum):
@@ -256,7 +252,9 @@ class NegotiationSet(Record):
         return f"[{{{' '.join(names(self.nec))}}} {{{' '.join(names(self.adm))}}}]"
 
 
-_set_universe, _set_nec, _set_adm = _slot_setters(NegotiationSet)
+_set_universe = NegotiationSet.universe.__set__
+_set_nec = NegotiationSet.nec.__set__
+_set_adm = NegotiationSet.adm.__set__
 
 
 def _from_masks(u: Universe, nec: int, adm: int) -> NegotiationSet:

@@ -30,7 +30,6 @@ from .core import (
     Record,
     Universe,
     _from_masks,
-    _slot_setters,
     complement,
     complement_masks,
     make_universe,
@@ -93,25 +92,11 @@ class LawReport(Record):
     __slots__ = _fields = ("law", "size", "checked", "verdict", "counterexamples",
                            "violation_count", "elapsed")
 
-    def __init__(self, law: str, size: int, checked: int, verdict: str,
-                 counterexamples: tuple[str, ...], violation_count: int, elapsed: float):
-        _set_law(self, law)
-        _set_size(self, size)
-        _set_checked(self, checked)
-        _set_verdict(self, verdict)
-        _set_counterexamples(self, counterexamples)
-        _set_violation_count(self, violation_count)
-        _set_elapsed(self, elapsed)
-
     @property
     def matches_expected(self) -> bool:
         expected = LAWS[self.law].expects_counterexample
         found = self.verdict == COUNTEREXAMPLES
         return found == expected
-
-
-(_set_law, _set_size, _set_checked, _set_verdict, _set_counterexamples,
- _set_violation_count, _set_elapsed) = _slot_setters(LawReport)
 
 
 # A law's cases at size n: the tuples to check, a predicate taking one tuple
@@ -121,15 +106,6 @@ Cases = tuple[Iterable[tuple], Callable[..., bool], Callable[[tuple], str]]
 
 class LawSpec(Record):
     __slots__ = _fields = ("law_id", "expects_counterexample", "cases")
-
-    def __init__(self, law_id: str, expects_counterexample: bool,
-                 cases: Callable[[int, ContradictionSpec | None], Cases]):
-        _set_law_id(self, law_id)
-        _set_expects_counterexample(self, expects_counterexample)
-        _set_cases(self, cases)
-
-
-_set_law_id, _set_expects_counterexample, _set_cases = _slot_setters(LawSpec)
 
 
 def _sweep(arity, predicate):
@@ -413,14 +389,7 @@ def check_law(
 
 class FixtureResult(Record):
     __slots__ = _fields = ("fixture_id", "passed", "note")
-
-    def __init__(self, fixture_id: str, passed: bool, note: str = ""):
-        _set_fixture_id(self, fixture_id)
-        _set_passed(self, passed)
-        _set_note(self, note)
-
-
-_set_fixture_id, _set_passed, _set_note = _slot_setters(FixtureResult)
+    _defaults = ("",)
 
 
 TRIP_UNIVERSE = make_universe(list("abcdefghikl"))  # eleven items, no "j"

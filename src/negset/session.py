@@ -36,7 +36,6 @@ from .core import (
     Universe,
     _from_masks,
     _same,
-    _slot_setters,
     iter_bits,
     make_universe,
     negset_of,
@@ -101,43 +100,25 @@ Program = tuple
 class Let(Record):
     __slots__ = _fields = ("name", "expr")
 
-    def __init__(self, name: str, expr: Program):
-        _set_let_name(self, name)
-        _set_let_expr(self, expr)
-
 
 class Eval(Record):
     __slots__ = _fields = ("expr",)
-
-    def __init__(self, expr: Program):
-        _set_eval_expr(self, expr)
 
 
 class AssertDisc(Record):
     __slots__ = _fields = ("expr",)
 
-    def __init__(self, expr: Program):
-        _set_assert_expr(self, expr)
-
 
 class Expect(Record):
     __slots__ = _fields = ("expr", "target")
 
-    def __init__(self, expr: Program, target: NegotiationSet):
-        _set_expect_expr(self, expr)
-        _set_expect_target(self, target)
-
-
-_set_let_name, _set_let_expr = _slot_setters(Let)
-[_set_eval_expr] = _slot_setters(Eval)
-[_set_assert_expr] = _slot_setters(AssertDisc)
-_set_expect_expr, _set_expect_target = _slot_setters(Expect)
 
 Statement = Let | Eval | AssertDisc | Expect
 _KIND = {Let: "let", Eval: "eval", AssertDisc: "assert_disc", Expect: "expect"}
 
 
 class SessionScript(Record):
+    # spec: the declared relations, built and validated once
     __slots__ = _fields = ("universe", "agents", "policy", "statements", "spec")
 
     # read-only views of the spec: its index pairs in order, as object names
@@ -145,20 +126,8 @@ class SessionScript(Record):
     weak = property(lambda self: self._names(self.spec.weak))
     dominance = property(lambda self: self._names(self.spec.dominance))
 
-    def __init__(self, universe: Universe, agents: tuple[tuple[str, NegotiationSet], ...],
-                 policy: ResolutionPolicy, statements: tuple[Statement, ...],
-                 spec: ContradictionSpec):
-        _set_universe(self, universe)
-        _set_agents(self, agents)
-        _set_policy(self, policy)
-        _set_statements(self, statements)
-        _set_spec(self, spec)  # the declared relations, built and validated once
-
     def _names(self, pairs: frozenset[tuple[int, int]]) -> tuple[tuple[str, str], ...]:
         return tuple(map(self.spec.pair_names, sorted(pairs)))
-
-
-_set_universe, _set_agents, _set_policy, _set_statements, _set_spec = _slot_setters(SessionScript)
 
 
 # --- lexer ---
@@ -578,16 +547,8 @@ def print_session(script: SessionScript) -> str:
 
 class StatementResult(Record):
     __slots__ = _fields = ("kind", "source", "ok", "value", "detail", "notes")
+    _defaults = (None, "", ())
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
-
-    def __init__(self, kind: str, source: str, ok: bool, value: NegotiationSet | None = None,
-                 detail: str = "", notes: tuple[str, ...] = ()):
-        self.kind = kind
-        self.source = source
-        self.ok = ok
-        self.value = value
-        self.detail = detail
-        self.notes = notes
 
 
 class SessionReport(Record):

@@ -323,8 +323,10 @@ class TestResolveOdot:
     def test_non_disc_input_rejected(self):
         u, spec, a, _ = conflict_fixture()
         bad = ns.negset_of(u, [], ["a", "b"])
-        with pytest.raises(InputNotDisc):
+        with pytest.raises(InputNotDisc, match="^left operand is not admitted to discussion$"):
             ns.resolve_odot(bad, a, spec, Strict())
+        with pytest.raises(InputNotDisc, match="^right operand is not admitted to discussion$"):
+            ns.resolve_odot(a, bad, spec, Strict())
 
     def test_strict_never_modifies(self):
         u, spec, a, _ = conflict_fixture()

@@ -91,6 +91,10 @@ class TestUniverse:
         assert u == v and hash(u) == hash(v)
         assert repr(u) == "Universe(objects=('a', 'b', 'c'))"
 
+    def test_index_of_an_unknown_name(self):
+        with pytest.raises(UnknownObject, match="^object not in universe: 'zz'$"):
+            ns.make_universe(["a", "b"]).index("zz")
+
 
 class TestIterBits:
     @given(st.one_of(
@@ -322,6 +326,10 @@ class TestSpecial:
         u = ns.make_universe(["a"])
         with pytest.raises(UnknownObject):
             ns.special(u, SpecialKind.POINT_FULL, "z")
+
+    def test_point_without_a_name(self):
+        with pytest.raises(UnknownObject, match="^object not in universe: None$"):
+            ns.special(ns.make_universe(["a"]), SpecialKind.POINT_HALF)
 
 
 class TestProperties:

@@ -1,8 +1,9 @@
-"""The value contract of every record class: each compares, hashes, prints,
-pickles and copies by its fields exactly as a frozen dataclass does, and the
-two report records stay mutable and unhashable."""
+"""The value contract of every record class: each is built from its fields in
+order, compares, hashes, prints, pickles and copies by them exactly as a
+frozen dataclass does, and the two report records stay mutable and unhashable."""
 
 import copy
+import inspect
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -188,3 +189,38 @@ def test_policies_keep_their_names():
     assert [p.name for p in (Strict(), ObjectDominance(), AgentPriority(()), FewestNecessities())] == [
         "strict", "dominance", "agent-priority", "fewest-necessities"]
     assert Resolved(A).ok is True and Failed("x").ok is False
+
+
+# the documented defaults of each constructor's last parameters
+DEFAULTS = {
+    Resolved: {"dropped": frozenset()},
+    Failed: {"pairs": ()},
+    oracle.FixtureResult: {"note": ""},
+    StatementResult: {"value": None, "detail": "", "notes": ()},
+    SessionReport: {"results": None, "halted": False, "halt_reason": "", "halt_kind": ""},
+}
+
+
+@pytest.mark.parametrize("value,fields", ALL, ids=ids(ALL))
+def test_signature_lists_the_fields_with_their_defaults(value, fields):
+    params = inspect.signature(type(value)).parameters.values()
+    assert [p.name for p in params] == list(fields)
+    assert {p.kind for p in params} <= {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    defaults = {p.name: p.default for p in params if p.default is not inspect.Parameter.empty}
+    assert defaults == DEFAULTS.get(type(value), {})
+    if fields:  # tracebacks and profiles name the constructor after its class
+        init = type(value).__init__
+        assert init.__qualname__ == f"{type(value).__qualname__}.__init__"
+        assert init.__module__ == type(value).__module__
+
+
+@pytest.mark.parametrize("value,fields", ALL, ids=ids(ALL))
+def test_wrong_arguments_raise_type_error(value, fields):
+    cls, args = type(value), field_values(value, fields)
+    if fields:
+        with pytest.raises(TypeError):
+            cls(*args[:-1 - len(DEFAULTS.get(cls, ()))])  # a required argument missing
+    with pytest.raises(TypeError):
+        cls(*args, None)  # one positional argument too many
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=None)

@@ -16,6 +16,7 @@ from negset.session import (
     ParseError,
     SessionReport,
     StatementResult,
+    UnboundName,
     ValidationError,
     parse_session,
     print_expr,
@@ -309,6 +310,12 @@ class TestRoundTrip:
 
 
 class TestEvaluation:
+    def test_eval_expr_reports_an_unbound_name(self):
+        u = ns.make_universe(["a"])
+        env = {"A": ns.negset_of(u, [], ["a"])}
+        with pytest.raises(UnboundName, match="^unbound name: B$"):
+            ns.eval_expr(("A", "B", "odot"), env, ns.make_contradiction_spec(u))
+
     def test_trip_report(self):
         report = run_session(parse_session(TRIP))
         assert report.all_ok

@@ -13,14 +13,15 @@ from typing import TYPE_CHECKING
 from .consistency import disc_violations, make_contradiction_spec
 from .errors import NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw
 from .session import (
+    _JSON_BOOL,
     ParseError,
+    RenderTable,
     SessionScript,
     ValidationError,
     eval_bindings,
     eval_expr,  # noqa: F401  kept as cli.eval_expr, which perfbench/tracing.py spans
-    format_negset,
     json_array,
-    json_negset,
+    json_masks,
     parse_session,
     run_session,
 )
@@ -78,12 +79,10 @@ def cmd_check(path: str, as_json: bool, out=None, err=None) -> int:
     if as_json:
         out.write(_check_json(script, entries, all_ok))
     else:
+        texts = RenderTable(script.universe.format_masks)
         for name, value, violations in entries:
-            if violations:
-                detail = "; ".join(str(v) for v in violations)
-                out.write(f"{name} = {format_negset(value)}: NOT DISC [{detail}]\n")
-            else:
-                out.write(f"{name} = {format_negset(value)}: DISC\n")
+            verdict = f"NOT DISC [{'; '.join(map(str, violations))}]" if violations else "DISC"
+            out.write(f"{name} = {texts[value.nec, value.adm]}: {verdict}\n")
     return EXIT_OK if all_ok else EXIT_FAILED_CHECKS
 
 
@@ -91,7 +90,7 @@ def _check_json(script: SessionScript, entries, all_ok: bool) -> str:
     """The text ``json.dumps(doc, indent=2) + "\\n"`` gives for the check
     report's document, written directly as ``SessionReport.to_json`` writes its own."""
     quoted = [_quote(name) for name in script.universe.objects]
-    sets = []
+    values, sets = RenderTable(functools.partial(json_masks, quoted)), []
     for name, value, violations in entries:
         found = [
             f'{{\n          "kind": {_quote(v.kind)},\n'
@@ -99,12 +98,12 @@ def _check_json(script: SessionScript, entries, all_ok: bool) -> str:
             for v in violations
         ]
         sets.append(
-            f'{{\n      "name": {_quote(name)},\n      "value": {json_negset(value, quoted)},\n'
-            f'      "disc": {json.dumps(not violations)},\n'
+            f'{{\n      "name": {_quote(name)},\n      "value": {values[value.nec, value.adm]},\n'
+            f'      "disc": {_JSON_BOOL[not violations]},\n'
             f'      "violations": {json_array(found, " " * 8)}\n    }}'
         )
     return (f'{{\n  "universe": {json_array(quoted, "    ")},\n'
-            f'  "sets": {json_array(sets, "    ")},\n  "ok": {json.dumps(all_ok)}\n}}\n')
+            f'  "sets": {json_array(sets, "    ")},\n  "ok": {_JSON_BOOL[all_ok]}\n}}\n')
 
 
 def _law_line(report: oracle.LawReport) -> str:

@@ -139,6 +139,11 @@ class Universe(Record):
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(map(self.objects.__getitem__, iter_bits(mask)))
 
+    def format_masks(self, nec: int, adm: int) -> str:
+        """``[{a} {a b}]``: the text of the negotiation set with these masks."""
+        names = self.names_of
+        return f"[{{{' '.join(names(nec))}}} {{{' '.join(names(adm))}}}]"
+
 
 def make_universe(names: Sequence[str]) -> Universe:
     """Build a universe, enforcing non-emptiness and name validity."""
@@ -248,8 +253,7 @@ class NegotiationSet(Record):
         return f"NegotiationSet(necessity={self.necessity!r}, admissibility={self.admissibility!r})"
 
     def __str__(self) -> str:
-        names = self.universe.names_of
-        return f"[{{{' '.join(names(self.nec))}}} {{{' '.join(names(self.adm))}}}]"
+        return self.universe.format_masks(self.nec, self.adm)
 
 
 _set_universe = NegotiationSet.universe.__set__

@@ -25,9 +25,10 @@ complement; ``odot(A, B, C)`` etc. are the n-ary forms.
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import core
 from .core import (
@@ -568,12 +569,12 @@ class SessionReport(Record):
         return not self.halted and all(r.ok for r in self.results)
 
     def to_text(self) -> str:
-        lines = []
+        texts, lines = RenderTable(self.universe.format_masks), []
         for r in self.results:
             suffix = f"  # {'; '.join(r.notes)}" if r.notes else ""
             if r.kind in ("let", "eval"):
                 if r.ok:
-                    lines.append(f"{r.source} = {format_negset(r.value)}{suffix}")
+                    lines.append(f"{r.source} = {texts[r.value.nec, r.value.adm]}{suffix}")
                 else:
                     lines.append(f"{r.source}: ERROR {r.detail}{suffix}")
             elif r.kind == "assert_disc":
@@ -588,12 +589,12 @@ class SessionReport(Record):
 
     def to_json(self) -> str:
         """The text ``json.dumps(doc, indent=2) + "\\n"`` gives for the report's
-        document, written directly: each object name is encoded once, and each
-        name list is one join."""
+        document, written directly: each object name is encoded once, each
+        distinct set is written once, and each name list is one join."""
         quoted = [_quote(name) for name in self.universe.objects]
-        statements = []
+        values, statements = RenderTable(partial(json_masks, quoted)), []
         for r in self.results:
-            value = "null" if r.value is None else json_negset(r.value, quoted)
+            value = "null" if r.value is None else values[r.value.nec, r.value.adm]
             statements.append(
                 f'{{\n      "kind": {_quote(r.kind)},\n      "source": {_quote(r.source)},\n'
                 f'      "ok": {_JSON_BOOL[r.ok]},\n      "value": {value},\n'
@@ -618,15 +619,30 @@ def json_array(items: Iterable[str], indent: str) -> str:
     return f"[\n{indent}{body}\n{indent[2:]}]" if body else "[]"
 
 
-def json_negset(value: NegotiationSet, quoted: list[str]) -> str:
-    """The ``{"necessity", "admissibility"}`` object of every report, as name
-    lists, laid out for a field of an array item; ``quoted`` holds the
+def json_masks(quoted: list[str], nec: int, adm: int) -> str:
+    """The ``{"necessity", "admissibility"}`` object of the set with these masks,
+    as name lists, laid out for a field of an array item; ``quoted`` holds the
     universe's object names, JSON-encoded, in index order."""
     def names(mask: int) -> str:
         return json_array(map(quoted.__getitem__, iter_bits(mask)), " " * 10)
 
-    return (f'{{\n        "necessity": {names(value.nec)},\n'
-            f'        "admissibility": {names(value.adm)}\n      }}')
+    return (f'{{\n        "necessity": {names(nec)},\n'
+            f'        "admissibility": {names(adm)}\n      }}')
+
+
+class RenderTable(dict):
+    """One render call's text for each ``(nec, adm)`` mask pair, made by ``render``
+    on first use, so a report renders each distinct set once.  Keyed on the masks,
+    not on the value, whose hash covers the universe: one table, one universe."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[int, int], str]):
+        self.render = render
+
+    def __missing__(self, masks: tuple[int, int]) -> str:
+        text = self[masks] = self.render(*masks)
+        return text
 
 
 _MASK_OPS = {"odot": core.odot_masks, "oplus": core.oplus_masks, "union": core.union_masks,

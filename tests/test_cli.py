@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from negset import cli
 from negset.consistency import disc_violations, make_contradiction_spec
-from negset.session import eval_bindings, parse_session
+from negset.session import eval_bindings, format_negset, parse_session
+from test_session import binding_script, sparse_and_dense
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -191,6 +192,37 @@ class TestCheckJson:
         assert code == 1
         assert out == self.dumped(path)
         assert '"\\u00e9"' in out and '"\\u00c9"' in out
+
+
+class TestCheckRenderTable:
+    """``check`` and ``check --json`` write each distinct (nec, adm) pair once per
+    run, and what they write is what ``format_negset`` and ``json.dumps`` give."""
+
+    @staticmethod
+    def checked(tmp_path, names, sets):
+        path = tmp_path / "bindings.ns"
+        path.write_text(binding_script(names, sets), encoding="utf-8")
+        script = parse_session(path.read_text(encoding="utf-8"))
+        text = "".join(f"{name} = {format_negset(value)}: DISC\n" for name, value
+                       in eval_bindings(script, make_contradiction_spec(script.universe)))
+        assert run(["check", str(path)]) == (0, text, "")
+        assert run(["check", "--json", str(path)]) == (0, TestCheckJson.dumped(path), "")
+        return text
+
+    def test_one_necessity_with_several_admissibilities(self, tmp_path):
+        sets = [(0b001, 0b001), (0b001, 0b011), (0b001, 0b111), (0b001, 0b101), (0, 0b001)]
+        text = self.checked(tmp_path, ["a", "b", "c"], sets)
+        assert "L1 = [{a} {a b}]: DISC" in text and "L2 = [{a} {a b c}]: DISC" in text
+
+    def test_same_masks_over_two_universes(self, tmp_path):
+        sets = [(0b01, 0b11), (0, 0b10), (0b11, 0b11)]
+        first = self.checked(tmp_path, ["a", "b"], sets)
+        assert self.checked(tmp_path, ["x", "y", "z"], sets) != first
+        assert self.checked(tmp_path, ["a", "b"], sets) == first
+
+    @pytest.mark.parametrize("size", [1, 64, 200])
+    def test_sparse_and_dense_masks(self, tmp_path, size):
+        self.checked(tmp_path, *sparse_and_dense(size))
 
 
 class TestSpecBuilds:

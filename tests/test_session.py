@@ -477,6 +477,60 @@ class TestJsonWriter:
         assert report.to_json() == self.dumped(report)
 
 
+def binding_script(names, sets):
+    """A script binding one agent per ``(nec, adm)`` mask pair over ``names``,
+    then binding each agent again, forwards and then backwards."""
+    def text(mask):
+        return " ".join(name for i, name in enumerate(names) if mask >> i & 1)
+
+    lines = ["universe " + " ".join(names)]
+    lines += [f"agent A{i} = [{{{text(nec)}}} {{{text(adm)}}}]" for i, (nec, adm) in enumerate(sets)]
+    order = list(range(len(sets)))
+    lines += [f"let L{k} = A{i}" for k, i in enumerate(order + order[::-1])]
+    return "\n".join(lines) + "\n"
+
+
+def sparse_and_dense(size):
+    """Object names and (nec, adm) mask pairs over ``size`` objects whose masks
+    ``iter_bits`` reads both ways: bit by bit when sparse, digit by digit otherwise."""
+    names = ["a"] if size == 1 else [f"o{i:03d}" for i in range(size)]
+    rng = random.Random(size)
+    few = sum(1 << i for i in rng.sample(range(size), max(1, size // 16)))
+    masks = [0, 1 << (size - 1), (1 << size) - 1, rng.getrandbits(size), few]
+    assert {m.bit_count() * 8 <= m.bit_length() for m in masks} == {True, False}
+    return names, [(nec, adm) for adm in masks for nec in {0, adm, adm & rng.getrandbits(size)}]
+
+
+class TestRenderTable:
+    """A render call writes each distinct (nec, adm) pair once, and what it writes
+    is what ``format_negset`` and ``json.dumps`` give for each value."""
+
+    @staticmethod
+    def rendered_as_reference(report):
+        text = "".join(f"{r.source} = {ns.format_negset(r.value)}\n" for r in report.results)
+        assert report.to_text() == text
+        assert report.to_json() == TestJsonWriter.dumped(report)
+
+    def test_one_necessity_with_several_admissibilities(self):
+        sets = [(0b001, 0b001), (0b001, 0b011), (0b001, 0b111), (0b001, 0b101), (0, 0b001)]
+        report = run_session(parse_session(binding_script(["a", "b", "c"], sets)))
+        assert len({str(r.value) for r in report.results}) == len(sets)
+        self.rendered_as_reference(report)
+
+    def test_same_masks_over_two_universes(self):
+        sets = [(0b01, 0b11), (0, 0b10), (0b11, 0b11)]
+        first, second = (run_session(parse_session(binding_script(names, sets)))
+                         for names in (["a", "b"], ["x", "y", "z"]))
+        for report in (first, second, first):
+            self.rendered_as_reference(report)
+        assert first.to_text() != second.to_text()
+
+    @pytest.mark.parametrize("size", [1, 64, 200])
+    def test_sparse_and_dense_masks(self, size):
+        script = binding_script(*sparse_and_dense(size))
+        self.rendered_as_reference(run_session(parse_session(script)))
+
+
 class TestEvaluatorAgreesWithAlgebra:
     BASE = "universe a b c\nagent A = [{} {}]\nagent B = [{} {}]\nagent C = [{} {}]\n"
 

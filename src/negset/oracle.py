@@ -12,6 +12,8 @@ the three-valued knowledge order).  A sweep over all 3^2 negotiation sets
 of a two-object universe therefore decides every law.  One object is not
 enough: the point lemmas need two distinct objects.  Larger sizes, up to
 the twelve-object default universe, remain available as a cross-check.
+A sweep over two or more sets reads operator tables, built once per sweep
+with core's mask arithmetic, and looks each result up by set number.
 
 Laws expected to hold must report zero violations; refuted laws must
 surface at least one counterexample.  A fixture catalog re-derives every
@@ -21,7 +23,7 @@ worked example from raw inputs.
 from __future__ import annotations
 
 import time
-from functools import partial, reduce
+from functools import cached_property, partial
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable
 
@@ -99,133 +101,151 @@ class LawReport(Record):
         return found == expected
 
 
-# A law's cases at size n: the tuples to check, a predicate taking one tuple
-# as arguments, and the text of a tuple reported as a counterexample.
-Cases = tuple[Iterable[tuple], Callable[..., bool], Callable[[tuple], str]]
-
-
 class LawSpec(Record):
+    """``cases(n, spec)`` gives a law's tuples at size n, a predicate taking one
+    tuple as arguments, and the text of a tuple reported as a counterexample."""
     __slots__ = _fields = ("law_id", "expects_counterexample", "cases")
 
 
+class _Tables:
+    """The sets of one sweep, numbered in ``enumerate_mask_pairs(n)`` order, and tables
+    built on first read, one mask call per entry: ``odot[i][j]`` numbers set i odot set j."""
+
+    def __init__(self, n):
+        self.pairs, self.full = enumerate_mask_pairs(n), (1 << n) - 1
+
+    _number = cached_property(lambda self: {a: i for i, a in enumerate(self.pairs)})
+
+    def _binary(self, op):
+        return [[self._number[op(*a, *b)] for b in self.pairs] for a in self.pairs]
+
+    odot = cached_property(lambda self: self._binary(odot_masks))
+    oplus = cached_property(lambda self: self._binary(oplus_masks))
+    complement = cached_property(lambda self: [
+        self._number[complement_masks(self.full, *a)] for a in self.pairs])
+
+
 def _sweep(arity, predicate):
-    """Cases of a mask-level law: every ``arity``-tuple of sets, named A, B, C."""
+    """Cases of a mask-level law: every ``arity``-tuple of set numbers, named A, B, C
+    (a one-set law zips its numbers, as ``product`` would hold a tuple of them)."""
     def cases(n, spec):
-        u = default_universe(n)
+        u, t = default_universe(n), _Tables(n)
 
         def describe(sets):
-            return " ".join(f"{name}={_fmt(u, *a)}" for name, a in zip("ABC", sets))
+            return " ".join(f"{name}={_fmt(u, *t.pairs[i])}" for name, i in zip("ABC", sets))
 
-        tuples = product(enumerate_mask_pairs(n), repeat=arity)
-        return tuples, partial(predicate, u.full_mask), describe
+        numbers = range(len(t.pairs))
+        tuples = zip(numbers) if arity == 1 else product(numbers, repeat=arity)
+        return tuples, partial(predicate, t), describe
 
     return cases
 
 
-# --- predicates ---
+# --- predicates: the one-set laws read masks, the others read tables ---
 
-def _p_idem_odot(full, a):
+def _p_idem_odot(t, i):
+    a = t.pairs[i]
     return odot_masks(*a, *a) == a
 
 
-def _p_idem_oplus(full, a):
+def _p_idem_oplus(t, i):
+    a = t.pairs[i]
     return oplus_masks(*a, *a) == a
 
 
-def _p_invol(full, a):
-    return complement_masks(full, *complement_masks(full, *a)) == a
+def _p_invol(t, i):
+    a = t.pairs[i]
+    return complement_masks(t.full, *complement_masks(t.full, *a)) == a
 
 
-def _p_comm_odot(full, a, b):
-    return odot_masks(*a, *b) == odot_masks(*b, *a)
+def _p_comm_odot(t, a, b):
+    return t.odot[a][b] == t.odot[b][a]
 
 
-def _p_comm_oplus(full, a, b):
-    return oplus_masks(*a, *b) == oplus_masks(*b, *a)
+def _p_comm_oplus(t, a, b):
+    return t.oplus[a][b] == t.oplus[b][a]
 
 
-def _p_assoc_odot(full, a, b, c):
-    return odot_masks(*odot_masks(*a, *b), *c) == odot_masks(*a, *odot_masks(*b, *c))
+def _p_assoc_odot(t, a, b, c):
+    od = t.odot
+    return od[od[a][b]][c] == od[a][od[b][c]]
 
 
-def _p_assoc_oplus(full, a, b, c):
-    return oplus_masks(*oplus_masks(*a, *b), *c) == oplus_masks(*a, *oplus_masks(*b, *c))
+def _p_assoc_oplus(t, a, b, c):
+    op = t.oplus
+    return op[op[a][b]][c] == op[a][op[b][c]]
 
 
-def _p_absorb_oplus_odot(full, a, b):
-    return oplus_masks(*a, *odot_masks(*a, *b)) == a
+def _p_absorb_oplus_odot(t, a, b):
+    return t.oplus[a][t.odot[a][b]] == a
 
 
-def _p_absorb_odot_oplus(full, a, b):
-    return odot_masks(*a, *oplus_masks(*a, *b)) == a
+def _p_absorb_odot_oplus(t, a, b):
+    return t.odot[a][t.oplus[a][b]] == a
 
 
-def _p_dist_oplus_over_odot(full, a, b, c):
-    return (oplus_masks(*a, *odot_masks(*b, *c))
-            == odot_masks(*oplus_masks(*a, *b), *oplus_masks(*a, *c)))
+def _p_dist_oplus_over_odot(t, a, b, c):
+    od, op = t.odot, t.oplus
+    return op[a][od[b][c]] == od[op[a][b]][op[a][c]]
 
 
-def _p_dist_odot_over_oplus(full, a, b, c):
-    return (odot_masks(*a, *oplus_masks(*b, *c))
-            == oplus_masks(*odot_masks(*a, *b), *odot_masks(*a, *c)))
+def _p_dist_odot_over_oplus(t, a, b, c):
+    od, op = t.odot, t.oplus
+    return od[a][op[b][c]] == op[od[a][b]][od[a][c]]
 
 
 def _subset(x, y):
     return x & ~y == 0
 
 
-def _p_bounds_upper(full, a1, a2, b):
+def _p_bounds_upper(t, i1, i2, j):
     # family {A1, A2} below B: minimalization ⊆ union ⊆ B
+    a1, a2, b = t.pairs[i1], t.pairs[i2], t.pairs[j]
     if not (_subset(a1[0], b[0]) and _subset(a1[1], b[1])
             and _subset(a2[0], b[0]) and _subset(a2[1], b[1])):
         return True
-    od = odot_masks(*a1, *a2)
+    od = t.pairs[t.odot[i1][i2]]
     un = (a1[0] | a2[0], a1[1] | a2[1])
     return (_subset(od[0], un[0]) and _subset(od[1], un[1])
             and _subset(un[0], b[0]) and _subset(un[1], b[1]))
 
 
-def _p_bounds_lower(full, a1, a2, b):
+def _p_bounds_lower(t, i1, i2, j):
+    a1, a2, b = t.pairs[i1], t.pairs[i2], t.pairs[j]
     if not (_subset(b[0], a1[0]) and _subset(b[1], a1[1])
             and _subset(b[0], a2[0]) and _subset(b[1], a2[1])):
         return True
     it = (a1[0] & a2[0], a1[1] & a2[1])
-    op = oplus_masks(*a1, *a2)
+    op = t.pairs[t.oplus[i1][i2]]
     return (_subset(b[0], it[0]) and _subset(b[1], it[1])
             and _subset(it[0], op[0]) and _subset(it[1], op[1]))
 
 
-def _p_demorgan_1(full, a, b):
-    lhs = complement_masks(full, *odot_masks(*a, *b))
-    rhs = oplus_masks(*complement_masks(full, *a), *complement_masks(full, *b))
-    return _subset(lhs[0], rhs[0])
+def _p_demorgan_1(t, a, b):
+    c, p = t.complement, t.pairs
+    return _subset(p[c[t.odot[a][b]]][0], p[t.oplus[c[a]][c[b]]][0])
 
 
-def _p_demorgan_2(full, a, b):
-    lhs = oplus_masks(*complement_masks(full, *a), *complement_masks(full, *b))
-    rhs = complement_masks(full, *odot_masks(*a, *b))
-    return _subset(lhs[1], rhs[1])
+def _p_demorgan_2(t, a, b):
+    c, p = t.complement, t.pairs
+    return _subset(p[t.oplus[c[a]][c[b]]][1], p[c[t.odot[a][b]]][1])
 
 
-def _p_demorgan_3(full, a, b):
-    lhs = odot_masks(*complement_masks(full, *a), *complement_masks(full, *b))
-    rhs = complement_masks(full, *oplus_masks(*a, *b))
-    return _subset(lhs[0], rhs[0])
+def _p_demorgan_3(t, a, b):
+    c, p = t.complement, t.pairs
+    return _subset(p[t.odot[c[a]][c[b]]][0], p[c[t.oplus[a][b]]][0])
 
 
-def _p_demorgan_4(full, a, b):
-    lhs = complement_masks(full, *oplus_masks(*a, *b))
-    rhs = odot_masks(*complement_masks(full, *a), *complement_masks(full, *b))
-    return _subset(lhs[1], rhs[1])
+def _p_demorgan_4(t, a, b):
+    c, p = t.complement, t.pairs
+    return _subset(p[c[t.oplus[a][b]]][1], p[t.odot[c[a]][c[b]]][1])
 
 
-def _p_identity(full, a):
-    nec, adm = a
-    top = (full, full)
-    bottom = (0, 0)
-    half = (0, full)
+def _p_identity(t, i):
+    nec, adm = a = t.pairs[i]
+    top, bottom, half = (t.full, t.full), (0, 0), (0, t.full)
     return (
-        odot_masks(*a, *top) == (nec, full)
+        odot_masks(*a, *top) == (nec, t.full)
         and odot_masks(*a, *bottom) == (0, adm)
         and oplus_masks(*a, *top) == (adm, adm)
         and oplus_masks(*a, *bottom) == bottom
@@ -309,18 +329,37 @@ def _disc_partial(a, b, sp):
     )
 
 
-def _fold(op):
-    """Cases of a fold law: families of one to three sets, n-ary form against the fold."""
+def _odot_n_ary(members):
+    """[∩N, ∪A], as ``odot_all`` defines it."""
+    nec, adm = members[0]
+    for a_nec, a_adm in members[1:]:
+        nec, adm = nec & a_nec, adm | a_adm
+    return nec, adm
+
+
+def _oplus_n_ary(members):
+    """[(∪N) ∩ ∩A, ∩A], as ``oplus_all`` defines it."""
+    nec, adm = members[0]
+    for a_nec, a_adm in members[1:]:
+        nec, adm = nec | a_nec, adm & a_adm
+    return nec & adm, adm
+
+
+def _fold(op, n_ary):
+    """Cases of a fold law: families of one to three sets, the n-ary form
+    from its definition against the left fold through the binary table."""
     def cases(n, spec):
-        # looked up when the cases run, so a wrapper set on this module sees every call
-        op_all, op_bin = globals()[f"{op}_all"], globals()[op]
-        sets = enumerate_negsets(default_universe(n))
-        tuples = (family for size in (1, 2, 3) for family in product(sets, repeat=size))
+        u, t = default_universe(n), _Tables(n)
+        table, pairs = getattr(t, op), t.pairs
+        tuples = (f for size in (1, 2, 3) for f in product(range(len(pairs)), repeat=size))
 
         def holds(*family):
-            return op_all(list(family)) == reduce(op_bin, family)
+            folded = family[0]
+            for i in family[1:]:
+                folded = table[folded][i]
+            return pairs[folded] == n_ary([pairs[i] for i in family])
 
-        return tuples, holds, lambda family: " ".join(str(a) for a in family)
+        return tuples, holds, lambda family: " ".join(_fmt(u, *pairs[i]) for i in family)
 
     return cases
 
@@ -347,8 +386,8 @@ LAWS: dict[str, LawSpec] = {
         LawSpec("bounds-upper", False, _sweep(3, _p_bounds_upper)),
         LawSpec("bounds-lower", False, _sweep(3, _p_bounds_lower)),
         LawSpec("point-lemmas", False, _points),
-        LawSpec("fold-agreement-odot", False, _fold("odot")),
-        LawSpec("fold-agreement-oplus", False, _fold("oplus")),
+        LawSpec("fold-agreement-odot", False, _fold("odot", _odot_n_ary)),
+        LawSpec("fold-agreement-oplus", False, _fold("oplus", _oplus_n_ary)),
         LawSpec("disc-closure-oplus", False, _disc_law(_disc_closed)),
         LawSpec("disc-odot-weak-partial", False, _disc_law(_disc_partial)),
     ]
@@ -435,6 +474,7 @@ def _fixture_trip_odot() -> FixtureResult:
     ok = (
         step == negset_of(TRIP_UNIVERSE, ["a", "d"], list("abdfghil"))
         and result == negset_of(TRIP_UNIVERSE, ["a"], list("abdfghikl"))
+        and result == odot_all([env["A"], env["B"], env["C"]])
     )
     return FixtureResult("trip-odot-chain", ok)
 

@@ -1,9 +1,12 @@
-"""The CLI against the benchmark's independent reference, on generated scripts.
+"""The CLI and the law oracle against the benchmark's independent reference.
 
 ``perfbench/workloads.py`` draws session scripts, and ``perfbench/reference.py``
 (plain frozensets of names, sharing no code with the package) predicts each
 script's ``eval``, ``eval --json``, ``check`` and ``check --json`` output and
-exit code.  Both are imported by path, so these tests follow those files.
+exit code.  The reference also decides every law at two objects, counts the
+tuples a sweep visits and the violations of each equation law at any size,
+and re-evaluates a printed counterexample.  Both files are imported by path,
+so these tests follow them.
 """
 
 import contextlib
@@ -12,12 +15,13 @@ import io
 import json
 import random
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negset import cli
+from negset import cli, oracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,3 +67,24 @@ def test_cli_matches_reference(path, seed, usize, n_stmts, gated):
     assert run(["check", path]) == (code, ref.check_text(script, entries))
     got, out = run(["check", "--json", path])
     assert (got, json.loads(out)) == (code, ref.check_json(script, entries))
+
+
+decide_law = cache(ref.decide_law)
+
+
+def test_law_catalogs_agree():
+    assert sorted(oracle.law_ids()) == sorted(ref.LAW_IDS)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("law", oracle.law_ids())
+def test_law_matches_reference(law, n):
+    report = oracle.check_law(law, n, limit=50)
+    assert report.checked == ref.expected_tuples(law, n)
+    holds = decide_law(law)
+    assert (report.violation_count == 0) == holds
+    if law in ref.LAW_PREDICATES:
+        assert report.violation_count == (0 if holds else ref.expected_violations(law, n))
+    assert len(report.counterexamples) == min(report.violation_count, 50)
+    for text in report.counterexamples:
+        assert ref.counterexample_violates(law, n, text), text

@@ -1,4 +1,6 @@
+from functools import reduce
 from itertools import combinations, product
+from operator import and_, or_
 
 import pytest
 
@@ -111,20 +113,6 @@ class TestCheckLaw:
         assert oracle.check_law("idempotence-odot", 7).verdict == oracle.HOLDS
         oracle.check_law("fold-agreement-odot", 3)
 
-    @pytest.mark.parametrize("op", ["odot", "oplus"])
-    def test_fold_law_calls_operators_through_the_module(self, op, monkeypatch):
-        calls = []
-        n_ary = getattr(oracle, f"{op}_all")
-
-        def counted(family):
-            calls.append(len(family))
-            return n_ary(family)
-
-        monkeypatch.setattr(oracle, f"{op}_all", counted)
-        report = oracle.check_law(f"fold-agreement-{op}")
-        assert report.verdict == oracle.HOLDS
-        assert len(calls) == report.checked > 0
-
     @pytest.mark.parametrize("law", oracle.law_ids())
     def test_default_size_decides(self, law):
         report = oracle.check_law(law)
@@ -165,6 +153,82 @@ class TestMaskOperators:
                 pb = as_pair(b)
                 assert names(*odot_masks(*masks(a), *masks(b))) == ref_odot(pa, pb)
                 assert names(*oplus_masks(*masks(a), *masks(b))) == ref_oplus(pa, pb)
+
+
+class TestTables:
+    """The operator tables that every sweep over two or more sets reads."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_entries_are_core_mask_arithmetic(self, n):
+        t = oracle._Tables(n)
+        pairs = t.pairs
+        assert pairs == oracle.enumerate_mask_pairs(n)
+        for i, a in enumerate(pairs):
+            assert pairs[t.complement[i]] == complement_masks((1 << n) - 1, *a)
+            for j, b in enumerate(pairs):
+                assert pairs[t.odot[i][j]] == odot_masks(*a, *b)
+                assert pairs[t.oplus[i][j]] == oplus_masks(*a, *b)
+
+    @pytest.mark.parametrize("law, odot_calls, oplus_calls, complement_calls", [
+        ("idempotence-odot", 9, 0, 0),
+        ("complement-involution", 0, 0, 18),
+        ("commutativity-odot", 81, 0, 0),
+        ("commutativity-oplus", 0, 81, 0),
+        ("associativity-odot", 81, 0, 0),
+        ("distributivity-odot-over-oplus", 81, 81, 0),
+        ("demorgan-weak-1", 81, 81, 9),
+        ("bounds-upper", 81, 0, 0),
+        ("fold-agreement-oplus", 0, 81, 0),
+    ])
+    def test_one_mask_call_per_table_entry_and_per_call(
+            self, law, odot_calls, oplus_calls, complement_calls, monkeypatch):
+        # a one-set law calls the mask arithmetic per set and builds no table;
+        # a law over more sets builds only the tables it reads, once per call
+        calls = {"odot": 0, "oplus": 0, "complement": 0}
+        for name in calls:
+            def counted(*masks, _name=name, _op=getattr(oracle, f"{name}_masks")):
+                calls[_name] += 1
+                return _op(*masks)
+            monkeypatch.setattr(oracle, f"{name}_masks", counted)
+        for rounds in (1, 2):
+            oracle.check_law(law, 2)
+            assert calls == {"odot": rounds * odot_calls, "oplus": rounds * oplus_calls,
+                             "complement": rounds * complement_calls}
+
+    @pytest.mark.parametrize("op", ["odot", "oplus"])
+    def test_n_ary_forms_equal_the_left_fold(self, op):
+        # the library agreement that the fold laws decide from the definitions
+        n_ary, binary = getattr(ns, f"{op}_all"), getattr(ns, op)
+        sets = oracle.enumerate_negsets(oracle.default_universe(2))
+        families = [f for k in (1, 2, 3) for f in product(sets, repeat=k)]
+        assert len(families) == 9 + 81 + 729
+        for family in families:
+            assert n_ary(list(family)) == reduce(binary, family)
+
+    @pytest.mark.parametrize("op, wrong", [
+        # odot with the union of necessities
+        ("odot", lambda members: (reduce(or_, [a[0] for a in members]),
+                                  reduce(or_, [a[1] for a in members]))),
+        # oplus without the clip into the shared admissibility
+        ("oplus", lambda members: (reduce(or_, [a[0] for a in members]),
+                                   reduce(and_, [a[1] for a in members]))),
+    ])
+    def test_fold_law_refutes_a_wrong_n_ary_form(self, op, wrong, monkeypatch):
+        def masks(a):
+            return a.nec, a.adm
+
+        law_id = f"fold-agreement-{op}"
+        monkeypatch.setitem(oracle.LAWS, law_id,
+                            oracle.LawSpec(law_id, False, oracle._fold(op, wrong)))
+        report = oracle.check_law(law_id, 2, limit=1)
+        fold = getattr(ns, op)
+        sets = oracle.enumerate_negsets(oracle.default_universe(2))
+        expected = [f for k in (1, 2, 3) for f in product(sets, repeat=k)
+                    if masks(reduce(fold, f)) != wrong([masks(a) for a in f])]
+        assert report.verdict == oracle.COUNTEREXAMPLES
+        assert not report.matches_expected
+        assert report.violation_count == len(expected) > 0
+        assert report.counterexamples == (" ".join(str(a) for a in expected[0]),)
 
 
 class TestFixtures:

@@ -377,6 +377,22 @@ class TestEvaluation:
         assert report.halted
         assert "ambiguous" in report.halt_reason
 
+    def test_gated_n_ary_odot_depends_on_argument_order(self):
+        # odot(A, B, C) is the left fold, and each step is gated (README,
+        # "Session scripts"): the dominance loser of each step's strong pair goes
+        text = (
+            "universe a b c\nagent A = [{} {a}]\nagent B = [{} {b}]\nagent C = [{} {c}]\n"
+            "strong a b\nstrong b c\n"
+            "dominance a > b\ndominance b > c\ndominance a > c\npolicy dominance\n"
+            "eval odot(A, B, C)\neval odot(C, B, A)\n"
+        )
+        report = run_session(parse_session(text))
+        assert report.all_ok
+        assert report.to_text().splitlines() == [
+            "eval odot(A, B, C) = [{} {a c}]  # dropped {b}",
+            "eval odot(C, B, A) = [{} {a}]  # dropped {c}; dropped {b}",
+        ]
+
     def test_assert_disc_failure_is_not_fatal(self):
         report = run_session(parse_session((SESSIONS / "check_demo.ns").read_text()))
         # strict policy gates the odot inside `let`, so this script halts there

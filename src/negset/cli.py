@@ -11,7 +11,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .consistency import disc_violations, make_contradiction_spec
-from .errors import NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw
+from .errors import NegativeLimit, NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw
 from .session import (
     _JSON_BOOL,
     ParseError,
@@ -148,8 +148,10 @@ def cmd_laws(
     law_ids = oracle.law_ids() if run_all else [law]
     n = oracle.DECIDING_SIZE if size is None else size
     try:
-        reports = [oracle.check_law(law_id, n, limit=limit) for law_id in law_ids]
-    except (UnknownLaw, SizeOutOfRange) as exc:
+        oracle.validate(n, limit)  # before the tables, which list all 3^n sets at once
+        tables = oracle._Tables(n)
+        reports = [oracle.check_law(law_id, n, limit=limit, tables=tables) for law_id in law_ids]
+    except (UnknownLaw, SizeOutOfRange, NegativeLimit) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
     fixtures = [oracle.verify_fixture(fid) for fid in oracle.fixture_ids()] if run_all else []

@@ -80,3 +80,9 @@ class UnknownLaw(NegsetError):
     def __init__(self, law_id):
         super().__init__(f"no such law: {law_id!r}")
         self.law_id = law_id
+
+
+class NegativeLimit(NegsetError):
+    def __init__(self, limit):
+        super().__init__(f"counterexample limit {limit} is negative")
+        self.limit = limit

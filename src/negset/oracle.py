@@ -12,8 +12,8 @@ the three-valued knowledge order).  A sweep over all 3^2 negotiation sets
 of a two-object universe therefore decides every law.  One object is not
 enough: the point lemmas need two distinct objects.  Larger sizes, up to
 the twelve-object default universe, remain available as a cross-check.
-A sweep over two or more sets reads operator tables, built once per sweep
-with core's mask arithmetic, and looks each result up by set number.
+A sweep reads operator tables, built with core's mask arithmetic once per
+``laws`` command, and decides one row of verdicts per first set at a time.
 
 Laws expected to hold must report zero violations; refuted laws must
 surface at least one counterexample.  A fixture catalog re-derives every
@@ -23,9 +23,10 @@ worked example from raw inputs.
 from __future__ import annotations
 
 import time
-from functools import cached_property, partial
-from itertools import combinations, permutations, product
-from typing import Callable, Iterable
+from functools import cached_property
+from itertools import chain, combinations, compress, islice, permutations, product, tee
+from operator import eq, itemgetter, not_
+from typing import Callable
 
 from .core import (
     NegotiationSet,
@@ -50,7 +51,7 @@ from .consistency import (
     make_contradiction_spec,
     ContradictionSpec,
 )
-from .errors import SizeOutOfRange, UnknownFixture, UnknownLaw
+from .errors import NegativeLimit, SizeOutOfRange, UnknownFixture, UnknownLaw
 
 HOLDS = "holds-everywhere"
 COUNTEREXAMPLES = "counterexamples"
@@ -67,14 +68,9 @@ def enumerate_mask_pairs(n: int) -> list[tuple[int, int]]:
     """All (necessity, admissibility) mask pairs with nec ⊆ adm, deterministic order."""
     out = []
     for adm in range(1 << n):
-        sub = adm
-        subs = []
-        while True:
-            subs.append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & adm
-        # submask trick yields decreasing order; reverse for an ascending sweep
+        subs = [adm]  # the submasks of adm, in decreasing order
+        while subs[-1]:
+            subs.append((subs[-1] - 1) & adm)
         out.extend((nec, adm) for nec in reversed(subs))
     return out
 
@@ -96,20 +92,18 @@ class LawReport(Record):
 
     @property
     def matches_expected(self) -> bool:
-        expected = LAWS[self.law].expects_counterexample
-        found = self.verdict == COUNTEREXAMPLES
-        return found == expected
+        return (self.verdict == COUNTEREXAMPLES) == LAWS[self.law].expects_counterexample
 
 
 class LawSpec(Record):
-    """``cases(n, spec)`` gives a law's tuples at size n, a predicate taking one
-    tuple as arguments, and the text of a tuple reported as a counterexample."""
+    """``cases(n, spec, tables)`` gives a law's tuples at size n, its verdicts as
+    lists of booleans in the same order, and the text of a counterexample."""
     __slots__ = _fields = ("law_id", "expects_counterexample", "cases")
 
 
 class _Tables:
-    """The sets of one sweep, numbered in ``enumerate_mask_pairs(n)`` order, and tables
-    built on first read, one mask call per entry: ``odot[i][j]`` numbers set i odot set j."""
+    """The sets of size n, numbered in ``enumerate_mask_pairs(n)`` order, and tables built
+    on first read: ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j."""
 
     def __init__(self, n):
         self.pairs, self.full = enumerate_mask_pairs(n), (1 << n) - 1
@@ -123,302 +117,226 @@ class _Tables:
     oplus = cached_property(lambda self: self._binary(oplus_masks))
     complement = cached_property(lambda self: [
         self._number[complement_masks(self.full, *a)] for a in self.pairs])
+    union = cached_property(lambda self: self._binary(lambda n, a, m, b: (n | m, a | b)))
+    inter = cached_property(lambda self: self._binary(lambda n, a, m, b: (n & m, a & b)))
+    le = cached_property(lambda self: [[not (n & ~m or a & ~b) for m, b in self.pairs]
+                                       for n, a in self.pairs])
+    ge = cached_property(lambda self: [list(c) for c in zip(*self.le)])
 
 
-def _sweep(arity, predicate):
-    """Cases of a mask-level law: every ``arity``-tuple of set numbers, named A, B, C
-    (a one-set law zips its numbers, as ``product`` would hold a tuple of them)."""
-    def cases(n, spec):
-        u, t = default_universe(n), _Tables(n)
+def _sweep(arity, rows):
+    """Cases of a law over ``arity`` sets A, B, C: every tuple of set numbers, and
+    ``rows(t)``, the verdicts read from the tables t, one row per first set."""
+    def cases(n, spec, t):
+        u = default_universe(n)
 
         def describe(sets):
             return " ".join(f"{name}={_fmt(u, *t.pairs[i])}" for name, i in zip("ABC", sets))
 
-        numbers = range(len(t.pairs))
-        tuples = zip(numbers) if arity == 1 else product(numbers, repeat=arity)
-        return tuples, partial(predicate, t), describe
+        return product(range(len(t.pairs)), repeat=arity), rows(t), describe
 
     return cases
 
 
-# --- predicates: the one-set laws read masks, the others read tables ---
-
-def _p_idem_odot(t, i):
-    a = t.pairs[i]
-    return odot_masks(*a, *a) == a
+def _each(holds):
+    return _sweep(1, lambda t: ([holds(t.full, a)] for a in t.pairs))
 
 
-def _p_idem_oplus(t, i):
-    a = t.pairs[i]
-    return oplus_masks(*a, *a) == a
+def _identity(full, a):
+    """A against [U U], [∅ ∅] and [∅ U]."""
+    (nec, adm), ends = a, ((full, full), (0, 0), (0, full))
+    return ([odot_masks(*a, *e) for e in ends] == [(nec, full), (0, adm), (0, full)]
+            and [oplus_masks(*a, *e) for e in ends] == [(adm, adm), (0, 0), a])
 
 
-def _p_invol(t, i):
-    a = t.pairs[i]
-    return complement_masks(t.full, *complement_masks(t.full, *a)) == a
+def _commutes(op):
+    return ([x == y for x, y in zip(row, map(itemgetter(a), op))] for a, row in enumerate(op))
 
 
-def _p_comm_odot(t, a, b):
-    return t.odot[a][b] == t.odot[b][a]
+def _absorbs(outer, inner):
+    return ([outer[a][x] == a for x in inner[a]] for a in range(len(outer)))
 
 
-def _p_comm_oplus(t, a, b):
-    return t.oplus[a][b] == t.oplus[b][a]
+def _associates(op):
+    # row A: (A op B) op C against A op (B op C)
+    return ([x == oa[y] for ab, b in zip(map(op.__getitem__, oa), op) for x, y in zip(ab, b)]
+            for oa in op)
 
 
-def _p_assoc_odot(t, a, b, c):
-    od = t.odot
-    return od[od[a][b]][c] == od[a][od[b][c]]
+def _distributes(outer, inner):
+    # row A: A outer (B inner C) against (A outer B) inner (A outer C)
+    return ([oa[x] == ab[y] for b, ab in zip(inner, map(inner.__getitem__, oa))
+             for x, y in zip(b, oa)] for oa in outer)
 
 
-def _p_assoc_oplus(t, a, b, c):
-    op = t.oplus
-    return op[op[a][b]][c] == op[a][op[b][c]]
+def _demorgan(t, inner, dual, m, below):
+    """Mask m of c(A inner B) against mask m of cA dual cB: ⊆ if ``below``, else ⊇."""
+    c, masks = t.complement, [pair[m] for pair in t.pairs]
+    left = [masks[i] if below else ~masks[i] for i in c]
+    right = [~x if below else x for x in masks]
+    return ([not left[x] & right[y] for x, y in zip(row, map(dual[c[a]].__getitem__, c))]
+            for a, row in enumerate(inner))
 
 
-def _p_absorb_oplus_odot(t, a, b):
-    return t.oplus[a][t.odot[a][b]] == a
+def _bounds(rel, bound, op):
+    """A1 ⊑ B and A2 ⊑ B imply op(A1, A2) ⊑ bound(A1, A2) ⊑ B, for ⊑ the ⊆ or ⊇ of rel."""
+    return ([not (x and y) or (k and z) for r2, u, o in zip(rel, bound[a], op[a])
+             for k in (rel[o][u],) for x, y, z in zip(r1, r2, rel[u])]
+            for a, r1 in enumerate(rel))
 
 
-def _p_absorb_odot_oplus(t, a, b):
-    return t.odot[a][t.oplus[a][b]] == a
+def _points(n, spec, t):
+    """Both point lemmas for each ordered pair of distinct objects and grades."""
+    u, grade = default_universe(n), ("0.5", "1")
+    objects, grades = list(permutations(range(n), 2)), list(product((0, 1), repeat=2))
 
-
-def _p_dist_oplus_over_odot(t, a, b, c):
-    od, op = t.odot, t.oplus
-    return op[a][od[b][c]] == od[op[a][b]][op[a][c]]
-
-
-def _p_dist_odot_over_oplus(t, a, b, c):
-    od, op = t.odot, t.oplus
-    return od[a][op[b][c]] == op[od[a][b]][od[a][c]]
-
-
-def _subset(x, y):
-    return x & ~y == 0
-
-
-def _p_bounds_upper(t, i1, i2, j):
-    # family {A1, A2} below B: minimalization ⊆ union ⊆ B
-    a1, a2, b = t.pairs[i1], t.pairs[i2], t.pairs[j]
-    if not (_subset(a1[0], b[0]) and _subset(a1[1], b[1])
-            and _subset(a2[0], b[0]) and _subset(a2[1], b[1])):
-        return True
-    od = t.pairs[t.odot[i1][i2]]
-    un = (a1[0] | a2[0], a1[1] | a2[1])
-    return (_subset(od[0], un[0]) and _subset(od[1], un[1])
-            and _subset(un[0], b[0]) and _subset(un[1], b[1]))
-
-
-def _p_bounds_lower(t, i1, i2, j):
-    a1, a2, b = t.pairs[i1], t.pairs[i2], t.pairs[j]
-    if not (_subset(b[0], a1[0]) and _subset(b[1], a1[1])
-            and _subset(b[0], a2[0]) and _subset(b[1], a2[1])):
-        return True
-    it = (a1[0] & a2[0], a1[1] & a2[1])
-    op = t.pairs[t.oplus[i1][i2]]
-    return (_subset(b[0], it[0]) and _subset(b[1], it[1])
-            and _subset(it[0], op[0]) and _subset(it[1], op[1]))
-
-
-def _p_demorgan_1(t, a, b):
-    c, p = t.complement, t.pairs
-    return _subset(p[c[t.odot[a][b]]][0], p[t.oplus[c[a]][c[b]]][0])
-
-
-def _p_demorgan_2(t, a, b):
-    c, p = t.complement, t.pairs
-    return _subset(p[t.oplus[c[a]][c[b]]][1], p[c[t.odot[a][b]]][1])
-
-
-def _p_demorgan_3(t, a, b):
-    c, p = t.complement, t.pairs
-    return _subset(p[t.odot[c[a]][c[b]]][0], p[c[t.oplus[a][b]]][0])
-
-
-def _p_demorgan_4(t, a, b):
-    c, p = t.complement, t.pairs
-    return _subset(p[c[t.oplus[a][b]]][1], p[t.odot[c[a]][c[b]]][1])
-
-
-def _p_identity(t, i):
-    nec, adm = a = t.pairs[i]
-    top, bottom, half = (t.full, t.full), (0, 0), (0, t.full)
-    return (
-        odot_masks(*a, *top) == (nec, t.full)
-        and odot_masks(*a, *bottom) == (0, adm)
-        and oplus_masks(*a, *top) == (adm, adm)
-        and oplus_masks(*a, *bottom) == bottom
-        and odot_masks(*a, *half) == half
-        and oplus_masks(*a, *half) == a
-    )
-
-
-def _points(n, spec):
-    """Both point lemmas for every ordered pair of distinct objects and grades."""
-    u = default_universe(n)
-    tuples = (
-        (i, j, gx, gy)
-        for i, j in permutations(range(n), 2)
-        for gx, gy in product((0, 1), repeat=2)
-    )
-
-    def holds(i, j, gx, gy):
-        x, y = 1 << i, 1 << j
-        px = (x if gx else 0, x)
-        py = (y if gy else 0, y)
+    def holds(x, y, gx, gy):
+        px, py = (x if gx else 0, x), (y if gy else 0, y)
         return oplus_masks(*px, *py) == (0, 0) and odot_masks(*px, *py) == (0, x | y)
 
     def describe(t):
         i, j, gx, gy = t
-        return (f"x={u.objects[i]}({'1' if gx else '0.5'}) "
-                f"y={u.objects[j]}({'1' if gy else '0.5'})")
+        return f"x={u.objects[i]}({grade[gx]}) y={u.objects[j]}({grade[gy]})"
 
-    return tuples, holds, describe
-
-
-def _all_pair_labelings(n) -> Iterable[tuple[tuple, tuple]]:
-    """Every assignment of {strong, weak, none} to unordered object pairs."""
-    pairs = list(combinations(range(n), 2))
-    for labels in product(("none", "strong", "weak"), repeat=len(pairs)):
-        strong = tuple(p for p, l in zip(pairs, labels) if l == "strong")
-        weak = tuple(p for p, l in zip(pairs, labels) if l == "weak")
-        yield strong, weak
+    return ((*o, *g) for o in objects for g in grades), (
+        [holds(1 << i, 1 << j, *g) for g in grades] for i, j in objects), describe
 
 
-def _disc_law(holds):
-    """Cases of a DISC law: pairs of consistent sets under the given spec, or
-    under every labeling of object pairs when none is given."""
-    def cases(n, spec):
-        u = default_universe(n)
-        sets = enumerate_negsets(u)
-        if spec is not None:
-            specs = [spec]
-        else:
-            specs = [
-                make_contradiction_spec(
-                    u,
-                    [(u.objects[i], u.objects[j]) for i, j in strong],
-                    [(u.objects[i], u.objects[j]) for i, j in weak],
-                )
-                for strong, weak in _all_pair_labelings(n)
-            ]
+def _disc_law(op, flag=None):
+    """Cases of a DISC law: pairs of DISC sets under spec, or else under each labeling of
+    object pairs as none, strong or weak; verdicts ``flag(A op B, spec)``, or DISC."""
+    def cases(n, spec, t):
+        u, pairs = default_universe(n), list(combinations(_LETTERS[:n], 2))
+        sets, table = enumerate_negsets(u), getattr(t, op)
+        labelings = product("nsw", repeat=len(pairs))  # none, strong or weak per pair
+        specs = [spec] if spec is not None else [make_contradiction_spec(u, *(
+            [p for p, label in zip(pairs, labels) if label == kind] for kind in "sw"))
+            for labels in labelings]
 
-        def tuples():
+        def per_spec():
             for sp in specs:
-                disc_sets = [a for a in sets if is_disc(a, sp)]
-                for a, b in product(disc_sets, repeat=2):
-                    yield a, b, sp
+                disc = [is_disc(a, sp) for a in sets]
+                ok = disc if flag is None else [flag(a, sp) for a in sets]
+                yield sp, list(compress(range(len(sets)), disc)), ok
 
         def describe(t):
             a, b, sp = t
-            return f"A={a} B={b} strong={sorted(sp.strong)} weak={sorted(sp.weak)}"
+            return f"A={sets[a]} B={sets[b]} strong={sorted(sp.strong)} weak={sorted(sp.weak)}"
 
-        return tuples(), holds, describe
-
-    return cases
-
-
-def _disc_closed(a, b, sp):
-    return is_disc(oplus(a, b), sp)
-
-
-def _disc_partial(a, b, sp):
-    return not any(
-        v.kind == WEAK_WITH_NECESSITY for v in disc_violations(odot(a, b), sp)
-    )
-
-
-def _odot_n_ary(members):
-    """[∩N, ∪A], as ``odot_all`` defines it."""
-    nec, adm = members[0]
-    for a_nec, a_adm in members[1:]:
-        nec, adm = nec & a_nec, adm | a_adm
-    return nec, adm
-
-
-def _oplus_n_ary(members):
-    """[(∪N) ∩ ∩A, ∩A], as ``oplus_all`` defines it."""
-    nec, adm = members[0]
-    for a_nec, a_adm in members[1:]:
-        nec, adm = nec | a_nec, adm & a_adm
-    return nec & adm, adm
-
-
-def _fold(op, n_ary):
-    """Cases of a fold law: families of one to three sets, the n-ary form
-    from its definition against the left fold through the binary table."""
-    def cases(n, spec):
-        u, t = default_universe(n), _Tables(n)
-        table, pairs = getattr(t, op), t.pairs
-        tuples = (f for size in (1, 2, 3) for f in product(range(len(pairs)), repeat=size))
-
-        def holds(*family):
-            folded = family[0]
-            for i in family[1:]:
-                folded = table[folded][i]
-            return pairs[folded] == n_ary([pairs[i] for i in family])
-
-        return tuples, holds, lambda family: " ".join(_fmt(u, *pairs[i]) for i in family)
+        left, right = tee(per_spec())
+        return (chain.from_iterable(product(d, d, (sp,)) for sp, d, _ in left),
+                ([ok[table[a][b]] for b in d] for _, d, ok in right for a in d), describe)
 
     return cases
 
 
-LAWS: dict[str, LawSpec] = {
-    spec.law_id: spec
-    for spec in [
-        LawSpec("idempotence-odot", False, _sweep(1, _p_idem_odot)),
-        LawSpec("idempotence-oplus", False, _sweep(1, _p_idem_oplus)),
-        LawSpec("complement-involution", False, _sweep(1, _p_invol)),
-        LawSpec("identity-lemmas", False, _sweep(1, _p_identity)),
-        LawSpec("commutativity-odot", False, _sweep(2, _p_comm_odot)),
-        LawSpec("commutativity-oplus", False, _sweep(2, _p_comm_oplus)),
-        LawSpec("absorption-oplus-odot", False, _sweep(2, _p_absorb_oplus_odot)),
-        LawSpec("absorption-odot-oplus", True, _sweep(2, _p_absorb_odot_oplus)),
-        LawSpec("demorgan-weak-1", False, _sweep(2, _p_demorgan_1)),
-        LawSpec("demorgan-weak-2", False, _sweep(2, _p_demorgan_2)),
-        LawSpec("demorgan-weak-3", False, _sweep(2, _p_demorgan_3)),
-        LawSpec("demorgan-weak-4", False, _sweep(2, _p_demorgan_4)),
-        LawSpec("associativity-odot", False, _sweep(3, _p_assoc_odot)),
-        LawSpec("associativity-oplus", False, _sweep(3, _p_assoc_oplus)),
-        LawSpec("distributivity-oplus-over-odot", True, _sweep(3, _p_dist_oplus_over_odot)),
-        LawSpec("distributivity-odot-over-oplus", True, _sweep(3, _p_dist_odot_over_oplus)),
-        LawSpec("bounds-upper", False, _sweep(3, _p_bounds_upper)),
-        LawSpec("bounds-lower", False, _sweep(3, _p_bounds_lower)),
-        LawSpec("point-lemmas", False, _points),
-        LawSpec("fold-agreement-odot", False, _fold("odot", _odot_n_ary)),
-        LawSpec("fold-agreement-oplus", False, _fold("oplus", _oplus_n_ary)),
-        LawSpec("disc-closure-oplus", False, _disc_law(_disc_closed)),
-        LawSpec("disc-odot-weak-partial", False, _disc_law(_disc_partial)),
-    ]
-}
+def _no_weak_with_necessity(a, sp):
+    return not any(v.kind == WEAK_WITH_NECESSITY for v in disc_violations(a, sp))
+
+
+def _odot_grow(acc, pairs):  # [∩N, ∪A], as odot_all defines it
+    nec, adm = acc
+    return [(nec & n, adm | a) for n, a in pairs]
+
+
+def _oplus_grow(acc, pairs):  # [(∪N) ∩ ∩A, ∩A], as oplus_all defines it, from (∪N, ∩A)
+    nec, adm = acc
+    return [(nec | n, adm & a) for n, a in pairs]
+
+
+def _fold(op, grow, done=list):
+    """Cases of a fold law: families of one to three sets, the left fold through the table
+    against the n-ary form from its definition, one row per prefix, depth first:
+    ``grow(acc, pairs)`` extends the prefix by each set, ``done`` finishes the row."""
+    def cases(n, spec, t):
+        u, table, pairs = default_universe(n), getattr(t, op), t.pairs
+        sets = range(len(pairs))
+
+        def verdicts(folded, accs):
+            return list(map(eq, map(pairs.__getitem__, folded), done(accs)))
+
+        def rows():
+            yield verdicts(sets, pairs)
+            for a, acc in zip(table, pairs):
+                yield verdicts(a, grow(acc, pairs))
+            for a, acc in zip(table, pairs):
+                for ab, acc_ab in zip(a, grow(acc, pairs)):
+                    yield verdicts(table[ab], grow(acc_ab, pairs))
+
+        tuples = chain.from_iterable(product(sets, repeat=k) for k in (1, 2, 3))
+        return tuples, rows(), lambda family: " ".join(_fmt(u, *pairs[i]) for i in family)
+
+    return cases
+
+
+LAWS: dict[str, LawSpec] = {law: LawSpec(law, expected, cases) for law, expected, cases in [
+    ("idempotence-odot", False, _each(lambda full, a: odot_masks(*a, *a) == a)),
+    ("idempotence-oplus", False, _each(lambda full, a: oplus_masks(*a, *a) == a)),
+    ("complement-involution", False, _each(
+        lambda full, a: complement_masks(full, *complement_masks(full, *a)) == a)),
+    ("identity-lemmas", False, _each(_identity)),
+    ("commutativity-odot", False, _sweep(2, lambda t: _commutes(t.odot))),
+    ("commutativity-oplus", False, _sweep(2, lambda t: _commutes(t.oplus))),
+    ("absorption-oplus-odot", False, _sweep(2, lambda t: _absorbs(t.oplus, t.odot))),
+    ("absorption-odot-oplus", True, _sweep(2, lambda t: _absorbs(t.odot, t.oplus))),
+    ("demorgan-weak-1", False, _sweep(2, lambda t: _demorgan(t, t.odot, t.oplus, 0, True))),
+    ("demorgan-weak-2", False, _sweep(2, lambda t: _demorgan(t, t.odot, t.oplus, 1, False))),
+    ("demorgan-weak-3", False, _sweep(2, lambda t: _demorgan(t, t.oplus, t.odot, 0, False))),
+    ("demorgan-weak-4", False, _sweep(2, lambda t: _demorgan(t, t.oplus, t.odot, 1, True))),
+    ("associativity-odot", False, _sweep(3, lambda t: _associates(t.odot))),
+    ("associativity-oplus", False, _sweep(3, lambda t: _associates(t.oplus))),
+    ("distributivity-oplus-over-odot", True, _sweep(3, lambda t: _distributes(t.oplus, t.odot))),
+    ("distributivity-odot-over-oplus", True, _sweep(3, lambda t: _distributes(t.odot, t.oplus))),
+    ("bounds-upper", False, _sweep(3, lambda t: _bounds(t.le, t.union, t.odot))),
+    ("bounds-lower", False, _sweep(3, lambda t: _bounds(t.ge, t.inter, t.oplus))),
+    ("point-lemmas", False, _points),
+    ("fold-agreement-odot", False, _fold("odot", _odot_grow)),
+    ("fold-agreement-oplus", False, _fold(
+        "oplus", _oplus_grow, lambda accs: [(nec & adm, adm) for nec, adm in accs])),
+    ("disc-closure-oplus", False, _disc_law("oplus")),
+    ("disc-odot-weak-partial", False, _disc_law("odot", _no_weak_with_necessity)),
+]}
 
 
 def law_ids() -> list[str]:
     return list(LAWS)
 
 
-def check_law(
-    law_id: str,
-    n: int = DECIDING_SIZE,
-    spec: ContradictionSpec | None = None,
-    limit: int = 5,
-) -> LawReport:
-    """Sweep one law over every case at size n; ``spec`` fixes the DISC laws' relations."""
+def validate(n: int, limit: int) -> None:
+    """Raise unless n is a size to sweep and ``limit`` ≥ 0."""
+    if not 1 <= n <= len(_LETTERS):
+        raise SizeOutOfRange(n, len(_LETTERS))
+    if limit < 0:
+        raise NegativeLimit(limit)
+
+
+def check_law(law_id: str, n: int = DECIDING_SIZE, spec: ContradictionSpec | None = None,
+              limit: int = 5, *, tables: _Tables | None = None) -> LawReport:
+    """Sweep one law over every case at size n; ``spec`` fixes the DISC laws' relations,
+    and the sweeps of one command may share ``tables``, unless built for another size."""
     try:
         law = LAWS[law_id]
     except KeyError:
         raise UnknownLaw(law_id) from None
-    if not 1 <= n <= len(_LETTERS):
-        raise SizeOutOfRange(n, len(_LETTERS))
+    validate(n, limit)
     start = time.perf_counter()
-    tuples, holds, describe = law.cases(n, spec)
-    examples, total, checked = [], 0, 0
-    for checked, t in enumerate(tuples, 1):
-        if not holds(*t):
-            total += 1
-            if len(examples) < limit:
-                examples.append(describe(t))
+    if tables is None or len(tables.pairs) != 3 ** n:
+        tables = _Tables(n)
+    tuples, rows, describe = law.cases(n, spec, tables)
+    checked, end = 0, object()
+
+    def tally(row):
+        nonlocal checked
+        checked += len(row)
+        return row
+
+    # end selects a tuple without a verdict, and is left over when the streams agree
+    wrong = chain(map(not_, chain.from_iterable(map(tally, rows))), [end])
+    violations = compress(tuples, wrong)
+    examples = [describe(t) for t in islice(violations, limit)]
+    total = len(examples) + sum(1 for _ in violations)
+    if next(wrong, None) is not end:
+        raise RuntimeError(f"{law_id}: its tuples and its verdicts differ in number")
     elapsed = time.perf_counter() - start
     verdict = COUNTEREXAMPLES if total else HOLDS
     return LawReport(law_id, n, checked, verdict, tuple(examples), total, elapsed)

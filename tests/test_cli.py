@@ -291,6 +291,29 @@ class TestLaws:
         assert code == 0
         assert out.count("counterexample:") == 1
 
+    @pytest.mark.parametrize("which", [["--law", "absorption-odot-oplus"], ["--all"]])
+    def test_negative_limit_rejected(self, which):
+        # a negative limit once listed no counterexample and still exited 0
+        code, out, err = run(["laws", *which, "--limit", "-1"])
+        assert code == 4
+        assert out == ""
+        assert err == "error: counterexample limit -1 is negative\n"
+
+    def test_limit_zero_counts_without_listing(self):
+        code, out, _ = run(["laws", "--law", "absorption-odot-oplus", "--limit", "0"])
+        assert code == 0
+        assert "17 violations" in out and "counterexample:" not in out
+
+    def test_all_at_a_size_past_the_cap_exits_before_any_table(self, monkeypatch):
+        from negset import oracle
+
+        def unbuilt(n):
+            raise AssertionError(f"tables built for size {n}")
+
+        monkeypatch.setattr(oracle, "_Tables", unbuilt)
+        code, out, err = run(["laws", "--all", "--size", "40"])
+        assert (code, out, err) == (4, "", "error: universe size 40 out of range 1..12\n")
+
     def test_all_json_at_deciding_size(self):
         code, out, _ = run(["laws", "--all", "--json"])
         assert code == 0

@@ -1,13 +1,15 @@
+import contextlib
+import io
+import tracemalloc
 from functools import reduce
 from itertools import combinations, product
-from operator import and_, or_
 
 import pytest
 
 import negset as ns
-from negset import core, oracle
+from negset import cli, core, oracle
 from negset.core import complement_masks, odot_masks, oplus_masks
-from negset.errors import SizeOutOfRange, UnknownFixture, UnknownLaw
+from negset.errors import NegativeLimit, NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw
 from refimpl import as_pair, ref_complement, ref_odot, ref_oplus
 
 
@@ -124,6 +126,18 @@ class TestCheckLaw:
         with pytest.raises(UnknownLaw):
             oracle.check_law("no-such-law", 2)
 
+    @pytest.mark.parametrize("tables", [None, oracle._Tables(2)])
+    def test_negative_limit_rejected(self, tables):
+        # it once reported 17 violations and listed none
+        with pytest.raises(NegativeLimit) as info:
+            oracle.check_law("absorption-odot-oplus", 2, limit=-1, tables=tables)
+        assert isinstance(info.value, NegsetError)
+        assert str(info.value) == "counterexample limit -1 is negative"
+
+    def test_limit_zero_counts_without_listing(self):
+        report = oracle.check_law("absorption-odot-oplus", 2, limit=0)
+        assert (report.counterexamples, report.violation_count) == ((), 17)
+
     def test_reports_deterministic(self):
         a = oracle.check_law("absorption-odot-oplus", 2)
         b = oracle.check_law("absorption-odot-oplus", 2)
@@ -168,6 +182,11 @@ class TestTables:
             for j, b in enumerate(pairs):
                 assert pairs[t.odot[i][j]] == odot_masks(*a, *b)
                 assert pairs[t.oplus[i][j]] == oplus_masks(*a, *b)
+                # the bounds laws' tables: componentwise union, intersection, inclusion
+                assert pairs[t.union[i][j]] == (a[0] | b[0], a[1] | b[1])
+                assert pairs[t.inter[i][j]] == (a[0] & b[0], a[1] & b[1])
+                below = a[0] & ~b[0] == 0 and a[1] & ~b[1] == 0
+                assert t.le[i][j] is t.ge[j][i] is below
 
     @pytest.mark.parametrize("law, odot_calls, oplus_calls, complement_calls", [
         ("idempotence-odot", 9, 0, 0),
@@ -195,6 +214,92 @@ class TestTables:
             assert calls == {"odot": rounds * odot_calls, "oplus": rounds * oplus_calls,
                              "complement": rounds * complement_calls}
 
+    @staticmethod
+    def count_mask_calls(monkeypatch):
+        calls = {"odot": 0, "oplus": 0, "complement": 0}
+        for name in calls:
+            def counted(*masks, _name=name, _op=getattr(oracle, f"{name}_masks")):
+                calls[_name] += 1
+                return _op(*masks)
+            monkeypatch.setattr(oracle, f"{name}_masks", counted)
+        return calls
+
+    def test_one_table_set_per_laws_command(self, monkeypatch):
+        # with every table built beforehand, only the one-set laws and the point
+        # lemmas call the mask arithmetic; a command adds one call per entry of
+        # the odot, oplus and complement tables (9 sets at n = 2), and a second
+        # command builds them again
+        ready = oracle._Tables(2)
+        for name in ("odot", "oplus", "complement", "union", "inter", "le", "ge"):
+            getattr(ready, name)
+        calls = self.count_mask_calls(monkeypatch)
+        for law in oracle.law_ids():
+            before = dict(calls)
+            oracle.check_law(law, 2, tables=ready)
+            if law not in ("idempotence-odot", "idempotence-oplus", "complement-involution",
+                           "identity-lemmas", "point-lemmas"):
+                assert calls == before, law
+        sweeps = dict(calls)
+        built = []
+        monkeypatch.setattr(oracle, "_Tables", lambda n, _t=oracle._Tables: (
+            built.append(n) or _t(n)))
+        for rounds in (1, 2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["laws", "--all"]) == 0
+            assert built == [2] * rounds
+            assert calls == {"odot": (rounds + 1) * sweeps["odot"] + rounds * 81,
+                             "oplus": (rounds + 1) * sweeps["oplus"] + rounds * 81,
+                             "complement": (rounds + 1) * sweeps["complement"] + rounds * 9}
+
+    def test_check_law_without_tables_builds_its_own(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(oracle, "_Tables", lambda n, _t=oracle._Tables: (
+            built.append(n) or _t(n)))
+        for law in ("associativity-odot", "associativity-odot", "fold-agreement-oplus"):
+            oracle.check_law(law, 2)
+        assert built == [2, 2, 2]
+
+    def test_tables_of_another_size_are_not_read(self):
+        report = oracle.check_law("commutativity-odot", 3, tables=oracle._Tables(2))
+        own = oracle.check_law("commutativity-odot", 3)
+        assert report._values()[:-1] == own._values()[:-1]  # all but elapsed
+        assert report.checked == 27 ** 2
+
+    @pytest.mark.parametrize("change", ["one verdict short", "one verdict over",
+                                        "one tuple short", "one tuple over"])
+    def test_streams_of_different_lengths_raise(self, change, monkeypatch):
+        law = oracle.LAWS["commutativity-odot"]
+
+        def cases(n, spec, t):
+            tuples, rows, describe = law.cases(n, spec, t)
+            rows, tuples = list(rows), list(tuples)
+            if change == "one verdict short":
+                rows[-1] = rows[-1][:-1]
+            elif change == "one verdict over":
+                rows[-1] = rows[-1] + [True]
+            elif change == "one tuple short":
+                tuples.pop()
+            else:
+                tuples.append(tuples[-1])
+            return iter(tuples), iter(rows), describe
+
+        monkeypatch.setitem(oracle.LAWS, law.law_id, oracle.LawSpec(law.law_id, False, cases))
+        with pytest.raises(RuntimeError, match="tuples and its verdicts differ"):
+            oracle.check_law(law.law_id, 2)
+
+    @pytest.mark.parametrize("law", ["associativity-odot", "fold-agreement-oplus"])
+    def test_a_sweep_holds_one_row_at_a_time(self, law):
+        # 81 sets at n = 4: 531,441 verdicts would take about 4 MB as one list
+        oracle.check_law(law, 4, tables=oracle._Tables(4))  # import and warm up
+        tracemalloc.start()
+        try:
+            report = oracle.check_law(law, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == oracle.HOLDS and report.checked >= 81 ** 3
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("op", ["odot", "oplus"])
     def test_n_ary_forms_equal_the_left_fold(self, op):
         # the library agreement that the fold laws decide from the definitions
@@ -205,26 +310,28 @@ class TestTables:
         for family in families:
             assert n_ary(list(family)) == reduce(binary, family)
 
-    @pytest.mark.parametrize("op, wrong", [
+    @pytest.mark.parametrize("op, step", [
         # odot with the union of necessities
-        ("odot", lambda members: (reduce(or_, [a[0] for a in members]),
-                                  reduce(or_, [a[1] for a in members]))),
+        ("odot", lambda acc, a: (acc[0] | a[0], acc[1] | a[1])),
         # oplus without the clip into the shared admissibility
-        ("oplus", lambda members: (reduce(or_, [a[0] for a in members]),
-                                   reduce(and_, [a[1] for a in members]))),
+        ("oplus", lambda acc, a: (acc[0] | a[0], acc[1] & a[1])),
     ])
-    def test_fold_law_refutes_a_wrong_n_ary_form(self, op, wrong, monkeypatch):
+    def test_fold_law_refutes_a_wrong_n_ary_form(self, op, step, monkeypatch):
+        # a wrong accumulator step, finished as it stands
         def masks(a):
             return a.nec, a.adm
 
+        def grow(acc, pairs):
+            return [step(acc, a) for a in pairs]
+
         law_id = f"fold-agreement-{op}"
         monkeypatch.setitem(oracle.LAWS, law_id,
-                            oracle.LawSpec(law_id, False, oracle._fold(op, wrong)))
+                            oracle.LawSpec(law_id, False, oracle._fold(op, grow)))
         report = oracle.check_law(law_id, 2, limit=1)
         fold = getattr(ns, op)
         sets = oracle.enumerate_negsets(oracle.default_universe(2))
         expected = [f for k in (1, 2, 3) for f in product(sets, repeat=k)
-                    if masks(reduce(fold, f)) != wrong([masks(a) for a in f])]
+                    if masks(reduce(fold, f)) != reduce(step, [masks(a) for a in f])]
         assert report.verdict == oracle.COUNTEREXAMPLES
         assert not report.matches_expected
         assert report.violation_count == len(expected) > 0

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .consistency import disc_violations, make_contradiction_spec
-from .errors import NegativeLimit, NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw
+from .errors import NegsetError
 from .session import (
     _JSON_BOOL,
+    _quote,
     ParseError,
     RenderTable,
     SessionScript,
@@ -118,8 +118,15 @@ def _law_line(report: oracle.LawReport) -> str:
     return line
 
 
-def _report_json(report: oracle.LawReport) -> dict:
-    return dict(zip(report._fields, report._values()), matches_expected=report.matches_expected)
+def _law_object(report: oracle.LawReport) -> str:
+    return (
+        f'{{\n      "law": {_quote(report.law)},\n      "size": {report.size},\n'
+        f'      "checked": {report.checked},\n      "verdict": {_quote(report.verdict)},\n'
+        f'      "counterexamples": {json_array(map(_quote, report.counterexamples), " " * 8)},\n'
+        f'      "violation_count": {report.violation_count},\n'
+        f'      "elapsed": {report.elapsed!r},\n'
+        f'      "matches_expected": {_JSON_BOOL[report.matches_expected]}\n    }}'
+    )
 
 
 def _fixture_line(result: oracle.FixtureResult) -> str:
@@ -128,8 +135,22 @@ def _fixture_line(result: oracle.FixtureResult) -> str:
     return f"fixture {result.fixture_id}: {verdict}{note}"
 
 
-def _fixture_json(result: oracle.FixtureResult) -> dict:
-    return {"fixture": result.fixture_id, "passed": result.passed, "note": result.note}
+def _fixture_object(result: oracle.FixtureResult) -> str:
+    return (f'{{\n      "fixture": {_quote(result.fixture_id)},\n'
+            f'      "passed": {_JSON_BOOL[result.passed]},\n'
+            f'      "note": {_quote(result.note)}\n    }}')
+
+
+def _oracle_report(reports: list | None, fixtures: list, ok: bool, as_json: bool) -> str:
+    """The report of ``laws``, or of ``fixtures`` when ``reports`` is None, as text or
+    as the text ``json.dumps(doc, indent=2) + "\\n"`` gives for its document."""
+    if not as_json:
+        lines = chain(map(_law_line, reports or ()), map(_fixture_line, fixtures))
+        return "".join(f"{line}\n" for line in lines)
+    laws = ("" if reports is None
+            else f'  "laws": {json_array(map(_law_object, reports), "    ")},\n')
+    return (f'{{\n{laws}  "fixtures": {json_array(map(_fixture_object, fixtures), "    ")},\n'
+            f'  "ok": {_JSON_BOOL[ok]}\n}}\n')
 
 
 def cmd_laws(
@@ -151,23 +172,12 @@ def cmd_laws(
         oracle.validate(n, limit)  # before the tables, which list all 3^n sets at once
         tables = oracle._Tables(n)
         reports = [oracle.check_law(law_id, n, limit=limit, tables=tables) for law_id in law_ids]
-    except (UnknownLaw, SizeOutOfRange, NegativeLimit) as exc:
+    except NegsetError as exc:  # an unknown law, a bad size or limit, tables too large
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
     fixtures = [oracle.verify_fixture(fid) for fid in oracle.fixture_ids()] if run_all else []
     ok = all(r.matches_expected for r in reports) and all(f.passed for f in fixtures)
-    if as_json:
-        doc = {
-            "laws": [_report_json(r) for r in reports],
-            "fixtures": [_fixture_json(f) for f in fixtures],
-            "ok": ok,
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        for report in reports:
-            out.write(_law_line(report) + "\n")
-        for fixture in fixtures:
-            out.write(_fixture_line(fixture) + "\n")
+    out.write(_oracle_report(reports, fixtures, ok, as_json))
     return EXIT_OK if ok else EXIT_FAILED_CHECKS
 
 
@@ -179,19 +189,11 @@ def cmd_fixtures(fixture: str | None, as_json: bool, out=None, err=None) -> int:
     ids = [fixture] if fixture else oracle.fixture_ids()
     try:
         results = [oracle.verify_fixture(fid) for fid in ids]
-    except UnknownFixture as exc:
+    except NegsetError as exc:  # an unknown fixture
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
     ok = all(r.passed for r in results)
-    if as_json:
-        doc = {
-            "fixtures": [_fixture_json(r) for r in results],
-            "ok": ok,
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        for result in results:
-            out.write(_fixture_line(result) + "\n")
+    out.write(_oracle_report(None, results, ok, as_json))
     return EXIT_OK if ok else EXIT_FAILED_CHECKS
 
 

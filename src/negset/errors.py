@@ -86,3 +86,12 @@ class NegativeLimit(NegsetError):
     def __init__(self, limit):
         super().__init__(f"counterexample limit {limit} is negative")
         self.limit = limit
+
+
+class TableTooLarge(NegsetError):
+    def __init__(self, size, entries, limit):
+        super().__init__(f"universe size {size} needs operator tables of {entries:,} entries, "
+                         f"over the limit of {limit:,}")
+        self.size = size
+        self.entries = entries
+        self.limit = limit

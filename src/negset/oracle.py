@@ -11,7 +11,9 @@ onto the at most two objects it involves (Birkhoff 1935; Fitting 1991 for
 the three-valued knowledge order).  A sweep over all 3^2 negotiation sets
 of a two-object universe therefore decides every law.  One object is not
 enough: the point lemmas need two distinct objects.  Larger sizes, up to
-the twelve-object default universe, remain available as a cross-check.
+the twelve-object default universe, remain available as a cross-check; a
+law over two or more sets stops at eight, where its tables reach
+``TABLE_LIMIT``.
 A sweep reads operator tables, built with core's mask arithmetic once per
 ``laws`` command, and decides one row of verdicts per first set at a time.
 
@@ -51,13 +53,14 @@ from .consistency import (
     make_contradiction_spec,
     ContradictionSpec,
 )
-from .errors import NegativeLimit, SizeOutOfRange, UnknownFixture, UnknownLaw
+from .errors import NegativeLimit, SizeOutOfRange, TableTooLarge, UnknownFixture, UnknownLaw
 
 HOLDS = "holds-everywhere"
 COUNTEREXAMPLES = "counterexamples"
 
 DECIDING_SIZE = 2  # see the module docstring
 _LETTERS = "abcdefghijkl"
+TABLE_LIMIT = 3 ** 16  # entries of one s×s operator table: s² at n = 8, s = 3^n sets
 
 
 def default_universe(n: int) -> Universe:
@@ -103,15 +106,24 @@ class LawSpec(Record):
 
 class _Tables:
     """The sets of size n, numbered in ``enumerate_mask_pairs(n)`` order, and tables built
-    on first read: ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j."""
+    on first read: ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j.
+    Reading an s×s table of more than ``TABLE_LIMIT`` entries raises ``TableTooLarge``."""
 
     def __init__(self, n):
-        self.pairs, self.full = enumerate_mask_pairs(n), (1 << n) - 1
+        self.n, self.pairs, self.full = n, enumerate_mask_pairs(n), (1 << n) - 1
 
     _number = cached_property(lambda self: {a: i for i, a in enumerate(self.pairs)})
 
+    def _square(self):
+        """The s sets, once an s×s table of them is known to be within the limit."""
+        entries = len(self.pairs) ** 2
+        if entries > TABLE_LIMIT:
+            raise TableTooLarge(self.n, entries, TABLE_LIMIT)
+        return self.pairs
+
     def _binary(self, op):
-        return [[self._number[op(*a, *b)] for b in self.pairs] for a in self.pairs]
+        pairs = self._square()
+        return [[self._number[op(*a, *b)] for b in pairs] for a in pairs]
 
     odot = cached_property(lambda self: self._binary(odot_masks))
     oplus = cached_property(lambda self: self._binary(oplus_masks))
@@ -120,7 +132,7 @@ class _Tables:
     union = cached_property(lambda self: self._binary(lambda n, a, m, b: (n | m, a | b)))
     inter = cached_property(lambda self: self._binary(lambda n, a, m, b: (n & m, a & b)))
     le = cached_property(lambda self: [[not (n & ~m or a & ~b) for m, b in self.pairs]
-                                       for n, a in self.pairs])
+                                       for n, a in self._square()])
     ge = cached_property(lambda self: [list(c) for c in zip(*self.le)])
 
 

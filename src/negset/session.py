@@ -27,8 +27,12 @@ from __future__ import annotations
 import re
 from functools import partial
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable
+
+try:  # the C encoder json.encoder uses, without loading the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import core
 from .core import (

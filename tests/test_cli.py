@@ -314,6 +314,17 @@ class TestLaws:
         code, out, err = run(["laws", "--all", "--size", "40"])
         assert (code, out, err) == (4, "", "error: universe size 40 out of range 1..12\n")
 
+    def test_tables_over_the_limit_exit_4(self, monkeypatch):
+        from negset import oracle
+
+        monkeypatch.setattr(oracle, "TABLE_LIMIT", 80)  # 81 entries at n = 2
+        message = ("error: universe size 2 needs operator tables of 81 entries, "
+                   "over the limit of 80\n")
+        for which in (["--law", "associativity-odot"], ["--all"], ["--all", "--json"]):
+            assert run(["laws", *which]) == (4, "", message)
+        for law in ("idempotence-odot", "point-lemmas"):  # no s×s table read
+            assert run(["laws", "--law", law])[0] == 0
+
     def test_all_json_at_deciding_size(self):
         code, out, _ = run(["laws", "--all", "--json"])
         assert code == 0
@@ -351,6 +362,34 @@ class TestFixtures:
         assert code == 0
         doc = json.loads(out)
         assert all(f["passed"] for f in doc["fixtures"])
+
+
+class TestOracleJson:
+    """``laws --json`` and ``fixtures --json`` write the text ``json.dumps(indent=2)``
+    gives for their documents, ``elapsed`` as json writes a float included."""
+
+    @pytest.mark.parametrize("argv", [
+        ["laws", "--all", "--json", "--size", "1"],
+        ["laws", "--all", "--json", "--size", "2"],
+        ["laws", "--all", "--json", "--size", "3"],
+        ["laws", "--law", "distributivity-oplus-over-odot", "--json", "--limit", "0"],
+        ["laws", "--law", "distributivity-oplus-over-odot", "--json", "--limit", "50"],
+        ["fixtures", "--json"],
+        ["fixtures", "--json", "--fixture", "trip-oplus-chain"],
+    ])
+    def test_text_is_the_json_dumps_text(self, argv):
+        _, out, _ = run(argv)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_counterexamples_are_listed_up_to_the_limit(self):
+        listed = {}
+        for limit in ("0", "50"):
+            _, out, _ = run(["laws", "--law", "distributivity-oplus-over-odot", "--json",
+                             "--limit", limit])
+            (report,) = json.loads(out)["laws"]
+            listed[limit] = report["counterexamples"]
+            assert isinstance(report["elapsed"], float)
+        assert listed["0"] == [] and 0 < len(listed["50"]) <= 50
 
 
 class TestDeepChain:

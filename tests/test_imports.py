@@ -1,5 +1,6 @@
 """What ``import negset`` binds and loads: the public names stay fixed, and
-the law oracle and the dataclass machinery are left out until used."""
+the law oracle, the dataclass machinery and the json package are left out
+until used."""
 
 import os
 import subprocess
@@ -55,3 +56,39 @@ def test_import_leaves_the_oracle_and_dataclasses_unloaded():
     done = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == ["[]", "idempotence-odot True"]
+
+
+JSON_PROBE = """
+import sys
+import negset
+import negset.cli
+print(sorted(m for m in sys.modules if m == "json" or m.startswith("json.")))
+"""
+
+
+def test_import_loads_no_json_package():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", JSON_PROBE], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["[]"]
+
+
+EVAL_JSON = """
+import sys
+if sys.argv[2] == "pure":
+    sys.modules["_json"] = None  # as in an interpreter built without json's C encoder
+from negset import cli, session
+print(session._quote.__module__, file=sys.stderr)
+sys.exit(cli.main(["eval", "--json", sys.argv[1]]))
+"""
+
+
+def test_eval_json_is_the_same_without_the_c_encoder():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    trip = str(Path(SRC).parent / "sessions" / "trip.ns")
+    runs = [subprocess.run([sys.executable, "-c", EVAL_JSON, trip, kind], env=env,
+                           capture_output=True, text=True, timeout=60, check=True)
+            for kind in ("c", "pure")]
+    assert [done.stderr for done in runs] == ["_json\n", "json.encoder\n"]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith('{\n  "universe": [')

@@ -9,7 +9,8 @@ import pytest
 import negset as ns
 from negset import cli, core, oracle
 from negset.core import complement_masks, odot_masks, oplus_masks
-from negset.errors import NegativeLimit, NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw
+from negset.errors import (
+    NegativeLimit, NegsetError, SizeOutOfRange, TableTooLarge, UnknownFixture, UnknownLaw)
 from refimpl import as_pair, ref_complement, ref_odot, ref_oplus
 
 
@@ -264,6 +265,36 @@ class TestTables:
         own = oracle.check_law("commutativity-odot", 3)
         assert report._values()[:-1] == own._values()[:-1]  # all but elapsed
         assert report.checked == 27 ** 2
+
+    @pytest.mark.parametrize("name", ["odot", "oplus", "union", "inter", "le", "ge"])
+    def test_a_table_over_the_limit_raises_before_it_is_built(self, name):
+        # 3^9 sets at n = 9: one s×s table of 387M entries would take about 3 GB
+        t = oracle._Tables(9)
+        t._number  # the one table of s entries, built before tracing
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableTooLarge) as raised:
+                getattr(t, name)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == ("universe size 9 needs operator tables of 387,420,489 "
+                                     "entries, over the limit of 43,046,721")
+        assert isinstance(raised.value, NegsetError)
+        assert peak < 100_000
+
+    def test_the_limit_admits_size_eight(self):
+        assert len(oracle.enumerate_mask_pairs(8)) ** 2 == oracle.TABLE_LIMIT
+
+    def test_the_limit_is_read_when_a_table_is_built(self, monkeypatch):
+        monkeypatch.setattr(oracle, "TABLE_LIMIT", 80)  # 81 entries at n = 2
+        for law in ("commutativity-odot", "fold-agreement-oplus", "disc-closure-oplus"):
+            with pytest.raises(TableTooLarge, match="size 2 needs operator tables of 81 "):
+                oracle.check_law(law, 2)
+        for law in ("idempotence-odot", "complement-involution", "identity-lemmas",
+                    "point-lemmas"):  # these read no s×s table
+            assert oracle.check_law(law, 2).matches_expected
+        assert oracle.check_law("commutativity-odot", 1).verdict == oracle.HOLDS
 
     @pytest.mark.parametrize("change", ["one verdict short", "one verdict over",
                                         "one tuple short", "one tuple over"])

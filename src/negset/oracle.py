@@ -19,7 +19,11 @@ A sweep reads operator tables, built with core's mask arithmetic once per
 
 Laws expected to hold must report zero violations; refuted laws must
 surface at least one counterexample.  A fixture catalog re-derives every
-worked example from raw inputs.
+worked example: each fixture is a session script, parsed once when this
+module loads and run by ``run_session`` on every ``verify_fixture`` call.
+A fixture passes when every statement passes and the run ends with the
+halt reason it expects: none, or for ``disc-failure`` the strict policy's
+``resolution failed: strong conflict [(a, b)]`` at its last statement.
 """
 
 from __future__ import annotations
@@ -28,24 +32,19 @@ import time
 from functools import cached_property
 from itertools import chain, combinations, compress, islice, permutations, product, tee
 from operator import eq, itemgetter, not_
-from typing import Callable
 
 from .core import (
     NegotiationSet,
     Record,
     Universe,
     _from_masks,
-    complement,
     complement_masks,
     make_universe,
-    negset_of,
-    odot,
-    odot_all,
     odot_masks,
-    oplus,
-    oplus_all,
     oplus_masks,
 )
+# kept as oracle names, which perfbench/tracing.py spans
+from .core import complement, odot, odot_all, oplus, oplus_all  # noqa: F401
 from .consistency import (
     WEAK_WITH_NECESSITY,
     disc_violations,
@@ -54,6 +53,7 @@ from .consistency import (
     ContradictionSpec,
 )
 from .errors import NegativeLimit, SizeOutOfRange, TableTooLarge, UnknownFixture, UnknownLaw
+from .session import SessionScript, parse_session, run_session
 
 HOLDS = "holds-everywhere"
 COUNTEREXAMPLES = "counterexamples"
@@ -83,10 +83,6 @@ def enumerate_negsets(universe: Universe) -> list[NegotiationSet]:
     if n > len(_LETTERS):
         raise SizeOutOfRange(n, len(_LETTERS))
     return [_from_masks(universe, nec, adm) for nec, adm in enumerate_mask_pairs(n)]
-
-
-def _fmt(universe: Universe, nec: int, adm: int) -> str:
-    return str(_from_masks(universe, nec, adm))
 
 
 class LawReport(Record):
@@ -140,10 +136,10 @@ def _sweep(arity, rows):
     """Cases of a law over ``arity`` sets A, B, C: every tuple of set numbers, and
     ``rows(t)``, the verdicts read from the tables t, one row per first set."""
     def cases(n, spec, t):
-        u = default_universe(n)
+        fmt = default_universe(n).format_masks
 
         def describe(sets):
-            return " ".join(f"{name}={_fmt(u, *t.pairs[i])}" for name, i in zip("ABC", sets))
+            return " ".join(f"{name}={fmt(*t.pairs[i])}" for name, i in zip("ABC", sets))
 
         return product(range(len(t.pairs)), repeat=arity), rows(t), describe
 
@@ -276,7 +272,7 @@ def _fold(op, grow, done=list):
                     yield verdicts(table[ab], grow(acc_ab, pairs))
 
         tuples = chain.from_iterable(product(sets, repeat=k) for k in (1, 2, 3))
-        return tuples, rows(), lambda family: " ".join(_fmt(u, *pairs[i]) for i in family)
+        return tuples, rows(), lambda family: " ".join(u.format_masks(*pairs[i]) for i in family)
 
     return cases
 
@@ -354,168 +350,98 @@ def check_law(law_id: str, n: int = DECIDING_SIZE, spec: ContradictionSpec | Non
     return LawReport(law_id, n, checked, verdict, tuple(examples), total, elapsed)
 
 
-# --- fixture catalog: worked examples re-derived from raw inputs ---
+# --- fixture catalog: worked examples as session scripts ---
 
 class FixtureResult(Record):
     __slots__ = _fields = ("fixture_id", "passed", "note")
     _defaults = ("",)
 
 
-TRIP_UNIVERSE = make_universe(list("abcdefghikl"))  # eleven items, no "j"
-TRIP_AGENTS = {
-    "A": (["a", "d"], ["a", "d", "f", "g", "h"]),
-    "B": (["a", "b", "d"], ["a", "b", "d", "f", "i", "l"]),
-    "C": (["a", "h"], ["a", "d", "h", "k"]),
+_TRIP = """\
+universe a b c d e f g h i k l
+agent A = [{a d} {a d f g h}]
+agent B = [{a b d} {a b d f i l}]
+agent C = [{a h} {a d h k}]
+"""
+
+# fixture id: (script, note, the halt reason its run must end with)
+FIXTURES: dict[str, tuple[SessionScript, str, str]] = {
+    fixture_id: (parse_session(text), note, halt) for fixture_id, text, note, halt in [
+        ("demorgan-counterexample", """\
+universe a b c d e f g
+agent A = [{a b} {a b c d}]
+agent B = [{c d} {c d g}]
+expect not A = [{e f g} {c d e f g}]
+expect not B = [{a b e f} {a b e f g}]
+expect not A oplus not B = [{e f g} {e f g}]
+expect not (A odot B) = [{e f} {a b c d e f g}]
+# both inclusions are strict: {e f g} is not within {e f}, nor {a b c d e f g} within {e f g}
+""", "weak inclusions are strict: neither direction upgrades to equality", ""),
+        ("trip-odot-chain", _TRIP + """\
+expect A odot B = [{a d} {a b d f g h i l}]
+expect (A odot B) odot C = [{a} {a b d f g h i k l}]
+expect odot(A, B, C) = [{a} {a b d f g h i k l}]
+""", "", ""),
+        ("trip-oplus-chain", _TRIP + """\
+expect A oplus B = [{a d} {a d f}]
+expect (A oplus B) oplus C = [{a d} {a d}]
+expect oplus(A, B, C) = [{a d} {a d}]
+""", "direct evaluation gives [{a d} {a d}]; the source text prints [{a} {a d}], "
+            "which drops d although d is necessary for B and admissible for all three", ""),
+        ("trip-mixed-chain", _TRIP + """\
+expect B oplus C = [{a d} {a d}]
+expect (B oplus C) odot A = [{a d} {a d f g h}]
+""", "direct evaluation gives [{a d} {a d f g h}]; the source text prints "
+            "[{a} {a d f g h}] (same d discrepancy as the oplus chain)", ""),
+        ("absorption-counterexample", """\
+universe x b
+agent A = [{x} {x}]
+agent B = [{b} {b}]
+expect A oplus B = [{} {}]
+expect A odot (A oplus B) = [{} {x}]
+# so A odot (A oplus B) != A
+""", "", ""),
+        ("distributivity-oplus-counterexample", """\
+universe a b c d x
+agent A = [{x} {a x}]
+agent B = [{b} {b d}]
+agent C = [{c} {c x}]
+expect B odot C = [{} {b c d x}]
+expect A oplus (B odot C) = [{x} {x}]
+expect A oplus B = [{} {}]
+expect A oplus C = [{x} {x}]
+expect (A oplus B) odot (A oplus C) = [{} {x}]
+# so A oplus (B odot C) != (A oplus B) odot (A oplus C)
+""", "", ""),
+        ("distributivity-odot-counterexample", """\
+universe a x b c
+agent A = [{a} {a}]
+agent B = [{x} {x b}]
+agent C = [{x a} {x a c}]
+expect A odot B = [{} {a x b}]
+expect A odot C = [{a} {x a c}]
+expect (A odot B) oplus (A odot C) = [{a} {a x}]
+expect B oplus C = [{x} {x}]
+expect A odot (B oplus C) = [{} {a x}]
+# so A odot (B oplus C) != (A odot B) oplus (A odot C)
+""", "", ""),
+        ("disc-failure", """\
+universe a b
+agent A = [{a} {a}]
+agent B = [{b} {b}]
+strong a b
+assert_disc A
+assert_disc B
+# A odot B = [{} {a b}] admits the strong pair (a, b), its one violation: strict halts
+let R = A odot B
+""", "", "resolution failed: strong conflict [(a, b)]"),
+    ]
 }
 
 
 def trip_env() -> dict[str, NegotiationSet]:
-    return {
-        name: negset_of(TRIP_UNIVERSE, nec, adm)
-        for name, (nec, adm) in TRIP_AGENTS.items()
-    }
-
-
-def _fixture_demorgan() -> FixtureResult:
-    u = make_universe(list("abcdefg"))
-    a = negset_of(u, ["a", "b"], ["a", "b", "c", "d"])
-    b = negset_of(u, ["c", "d"], ["c", "d", "g"])
-    ca, cb = complement(a), complement(b)
-    lhs = oplus(ca, cb)
-    rhs = complement(odot(a, b))
-    ok = (
-        ca == negset_of(u, ["e", "f", "g"], ["c", "d", "e", "f", "g"])
-        and cb == negset_of(u, ["a", "b", "e", "f"], ["a", "b", "e", "f", "g"])
-        and lhs == negset_of(u, ["e", "f", "g"], ["e", "f", "g"])
-        and rhs == negset_of(u, ["e", "f"], list("abcdefg"))
-        and not lhs.necessity.issubset(rhs.necessity)
-        and not rhs.admissibility.issubset(lhs.admissibility)
-    )
-    return FixtureResult(
-        "demorgan-counterexample", ok,
-        "weak inclusions are strict: neither direction upgrades to equality",
-    )
-
-
-def _fixture_trip_odot() -> FixtureResult:
-    env = trip_env()
-    step = odot(env["A"], env["B"])
-    result = odot(step, env["C"])
-    ok = (
-        step == negset_of(TRIP_UNIVERSE, ["a", "d"], list("abdfghil"))
-        and result == negset_of(TRIP_UNIVERSE, ["a"], list("abdfghikl"))
-        and result == odot_all([env["A"], env["B"], env["C"]])
-    )
-    return FixtureResult("trip-odot-chain", ok)
-
-
-def _fixture_trip_oplus() -> FixtureResult:
-    env = trip_env()
-    step = oplus(env["A"], env["B"])
-    result = oplus(step, env["C"])
-    expected_step = negset_of(TRIP_UNIVERSE, ["a", "d"], ["a", "d", "f"])
-    expected = negset_of(TRIP_UNIVERSE, ["a", "d"], ["a", "d"])
-    ok = step == expected_step and result == expected and result == oplus_all(
-        [env["A"], env["B"], env["C"]]
-    )
-    return FixtureResult(
-        "trip-oplus-chain", ok,
-        "direct evaluation gives [{a d} {a d}]; the source text prints [{a} {a d}], "
-        "which drops d although d is necessary for B and admissible for all three",
-    )
-
-
-def _fixture_trip_mixed() -> FixtureResult:
-    env = trip_env()
-    step = oplus(env["B"], env["C"])
-    result = odot(step, env["A"])
-    ok = (
-        step == negset_of(TRIP_UNIVERSE, ["a", "d"], ["a", "d"])
-        and result == negset_of(TRIP_UNIVERSE, ["a", "d"], ["a", "d", "f", "g", "h"])
-    )
-    return FixtureResult(
-        "trip-mixed-chain", ok,
-        "direct evaluation gives [{a d} {a d f g h}]; the source text prints "
-        "[{a} {a d f g h}] (same d discrepancy as the oplus chain)",
-    )
-
-
-def _fixture_absorption() -> FixtureResult:
-    u = make_universe(["x", "b"])
-    a = negset_of(u, ["x"], ["x"])
-    b = negset_of(u, ["b"], ["b"])
-    inner = oplus(a, b)
-    result = odot(a, inner)
-    ok = (
-        inner == negset_of(u, [], [])
-        and result == negset_of(u, [], ["x"])
-        and result != a
-    )
-    return FixtureResult("absorption-counterexample", ok)
-
-
-def _fixture_dist_oplus() -> FixtureResult:
-    u = make_universe(["a", "b", "c", "d", "x"])
-    a = negset_of(u, ["x"], ["a", "x"])
-    b = negset_of(u, ["b"], ["b", "d"])
-    c = negset_of(u, ["c"], ["c", "x"])
-    lhs = oplus(a, odot(b, c))
-    rhs = odot(oplus(a, b), oplus(a, c))
-    ok = (
-        odot(b, c) == negset_of(u, [], ["b", "c", "d", "x"])
-        and lhs == negset_of(u, ["x"], ["x"])
-        and oplus(a, b) == negset_of(u, [], [])
-        and oplus(a, c) == negset_of(u, ["x"], ["x"])
-        and rhs == negset_of(u, [], ["x"])
-        and lhs != rhs
-    )
-    return FixtureResult("distributivity-oplus-counterexample", ok)
-
-
-def _fixture_dist_odot() -> FixtureResult:
-    u = make_universe(["a", "x", "b", "c"])
-    a = negset_of(u, ["a"], ["a"])
-    b = negset_of(u, ["x"], ["x", "b"])
-    c = negset_of(u, ["x", "a"], ["x", "a", "c"])
-    lhs = odot(a, oplus(b, c))
-    rhs = oplus(odot(a, b), odot(a, c))
-    ok = (
-        odot(a, b) == negset_of(u, [], ["a", "x", "b"])
-        and odot(a, c) == negset_of(u, ["a"], ["x", "a", "c"])
-        and rhs == negset_of(u, ["a"], ["a", "x"])
-        and oplus(b, c) == negset_of(u, ["x"], ["x"])
-        and lhs == negset_of(u, [], ["a", "x"])
-        and lhs != rhs
-    )
-    return FixtureResult("distributivity-odot-counterexample", ok)
-
-
-def _fixture_disc_failure() -> FixtureResult:
-    u = make_universe(["a", "b"])
-    spec = make_contradiction_spec(u, strong_pairs=[("a", "b")])
-    a = negset_of(u, ["a"], ["a"])
-    b = negset_of(u, ["b"], ["b"])
-    result = odot(a, b)
-    violations = disc_violations(result, spec)
-    ok = (
-        is_disc(a, spec)
-        and is_disc(b, spec)
-        and result == negset_of(u, [], ["a", "b"])
-        and [(v.kind, v.pair) for v in violations] == [("strong-in-admissibility", ("a", "b"))]
-    )
-    return FixtureResult("disc-failure", ok)
-
-
-FIXTURES: dict[str, Callable[[], FixtureResult]] = {
-    "demorgan-counterexample": _fixture_demorgan,
-    "trip-odot-chain": _fixture_trip_odot,
-    "trip-oplus-chain": _fixture_trip_oplus,
-    "trip-mixed-chain": _fixture_trip_mixed,
-    "absorption-counterexample": _fixture_absorption,
-    "distributivity-oplus-counterexample": _fixture_dist_oplus,
-    "distributivity-odot-counterexample": _fixture_dist_odot,
-    "disc-failure": _fixture_disc_failure,
-}
+    """The three travellers of the trip fixtures, by agent name."""
+    return dict(FIXTURES["trip-odot-chain"][0].agents)
 
 
 def fixture_ids() -> list[str]:
@@ -523,7 +449,14 @@ def fixture_ids() -> list[str]:
 
 
 def verify_fixture(fixture_id: str) -> FixtureResult:
+    """Run the fixture's script: it passes when every statement passes, except one that
+    halts the run as the last statement, and the run ends with the halt reason expected."""
     try:
-        return FIXTURES[fixture_id]()
+        script, note, halt = FIXTURES[fixture_id]
     except KeyError:
         raise UnknownFixture(fixture_id) from None
+    report = run_session(script)
+    ok = [r.ok for r in report.results]
+    if report.halted:
+        ok[-1] = len(ok) == len(script.statements)
+    return FixtureResult(fixture_id, report.halt_reason == halt and all(ok), note)

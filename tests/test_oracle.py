@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 import negset as ns
-from negset import cli, core, oracle
+from negset import cli, core, oracle, session
 from negset.core import complement_masks, odot_masks, oplus_masks
 from negset.errors import (
     NegativeLimit, NegsetError, SizeOutOfRange, TableTooLarge, UnknownFixture, UnknownLaw)
@@ -382,6 +382,53 @@ class TestFixtures:
     def test_unknown(self):
         with pytest.raises(UnknownFixture):
             oracle.verify_fixture("bogus")
+
+    @pytest.mark.parametrize("fixture_id, index", [
+        (fixture_id, i) for fixture_id, (script, _, _) in oracle.FIXTURES.items()
+        for i, stmt in enumerate(script.statements) if isinstance(stmt, session.Expect)])
+    def test_every_expect_line_decides(self, monkeypatch, fixture_id, index):
+        script, note, halt = oracle.FIXTURES[fixture_id]
+        u, statements = script.universe, list(script.statements)
+        empty = ns.negset_of(u, [], [])
+        target = statements[index].target
+        other = empty if target != empty else ns.negset_of(u, [], u.objects)
+        statements[index] = session.Expect(statements[index].expr, other)
+        changed = ns.SessionScript(u, script.agents, script.policy, tuple(statements),
+                                   script.spec)
+        monkeypatch.setitem(oracle.FIXTURES, fixture_id, (changed, note, halt))
+        assert not oracle.verify_fixture(fixture_id).passed
+
+    def test_disc_failure_needs_its_strong_pair(self, monkeypatch):
+        script, note, halt = oracle.FIXTURES["disc-failure"]
+        text = ns.print_session(script)
+        assert "strong a b\n" in text
+        for text, passed in ((text, True), (text.replace("strong a b\n", ""), False)):
+            entry = (ns.parse_session(text), note, halt)
+            monkeypatch.setitem(oracle.FIXTURES, "disc-failure", entry)
+            assert oracle.verify_fixture("disc-failure").passed is passed
+
+    @pytest.mark.parametrize("halt", ["", "resolution failed: strong conflict [(b, a)]",
+                                      "resolution failed: strong conflict"])
+    def test_disc_failure_needs_its_halt_reason(self, monkeypatch, halt):
+        script, note, _ = oracle.FIXTURES["disc-failure"]
+        monkeypatch.setitem(oracle.FIXTURES, "disc-failure", (script, note, halt))
+        assert not oracle.verify_fixture("disc-failure").passed
+
+    def test_disc_failure_must_halt_at_its_last_statement(self, monkeypatch):
+        script, note, halt = oracle.FIXTURES["disc-failure"]
+        early = script.statements[-1:] + script.statements
+        changed = ns.SessionScript(script.universe, script.agents, script.policy, early,
+                                   script.spec)
+        monkeypatch.setitem(oracle.FIXTURES, "disc-failure", (changed, note, halt))
+        assert not oracle.verify_fixture("disc-failure").passed
+
+    def test_runs_its_script_on_every_call(self, monkeypatch):
+        calls, run = [], oracle.run_session
+        monkeypatch.setattr(oracle, "run_session", lambda script: calls.append(script) or run(script))
+        for fixture_id in oracle.fixture_ids():
+            for _ in range(2):
+                assert oracle.verify_fixture(fixture_id).passed
+        assert calls == [oracle.FIXTURES[f][0] for f in oracle.fixture_ids() for _ in range(2)]
 
 
 # The premise of DECIDING_SIZE: every mask operator of core acts on each

@@ -10,12 +10,11 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .consistency import disc_violations, make_contradiction_spec
-from .errors import NegsetError
+from .errors import NegsetError, ScriptUnreadable
 from .session import (
     _JSON_BOOL,
     _quote,
     ParseError,
-    RenderTable,
     SessionScript,
     ValidationError,
     eval_bindings,
@@ -38,37 +37,26 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE: a defect in negset, not in its input
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
-def _load_script(path: str, err) -> SessionScript | int:
-    """The parsed script, or the exit code after printing why it did not load."""
+def _load_script(path: str) -> SessionScript:
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_session(handle.read())
+            text = handle.read()
     except OSError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_CONFIG
-    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_PARSE
+        raise ScriptUnreadable(exc) from exc
+    return parse_session(text)
 
 
-def cmd_eval(path: str, as_json: bool, out=None, err=None) -> int:
-    out = out or sys.stdout
-    script = _load_script(path, err or sys.stderr)
-    if isinstance(script, int):
-        return script
-    report = run_session(script)
-    out.write(report.to_json() if as_json else report.to_text())
+def cmd_eval(path: str, as_json: bool) -> int:
+    report = run_session(_load_script(path))
+    sys.stdout.write(report.to_json() if as_json else report.to_text())
     if report.halted:
         return EXIT_RESOLUTION if report.halt_kind == "resolution" else EXIT_CONFIG
     return EXIT_OK if report.all_ok else EXIT_FAILED_CHECKS
 
 
-def cmd_check(path: str, as_json: bool, out=None, err=None) -> int:
+def cmd_check(path: str, as_json: bool) -> int:
     """Diagnostic mode: evaluate bindings without policy gating, report DISC verdicts."""
-    out = out or sys.stdout
-    script = _load_script(path, err or sys.stderr)
-    if isinstance(script, int):
-        return script
+    script = _load_script(path)
     ungated = make_contradiction_spec(script.universe)  # no relations: raw algebra
     entries = []
     all_ok = True
@@ -77,12 +65,12 @@ def cmd_check(path: str, as_json: bool, out=None, err=None) -> int:
         all_ok &= not violations
         entries.append((name, value, violations))
     if as_json:
-        out.write(_check_json(script, entries, all_ok))
+        sys.stdout.write(_check_json(script, entries, all_ok))
     else:
-        texts = RenderTable(script.universe.format_masks)
+        texts = functools.cache(script.universe.format_masks)
         for name, value, violations in entries:
             verdict = f"NOT DISC [{'; '.join(map(str, violations))}]" if violations else "DISC"
-            out.write(f"{name} = {texts[value.nec, value.adm]}: {verdict}\n")
+            sys.stdout.write(f"{name} = {texts(value.nec, value.adm)}: {verdict}\n")
     return EXIT_OK if all_ok else EXIT_FAILED_CHECKS
 
 
@@ -90,7 +78,7 @@ def _check_json(script: SessionScript, entries, all_ok: bool) -> str:
     """The text ``json.dumps(doc, indent=2) + "\\n"`` gives for the check
     report's document, written directly as ``SessionReport.to_json`` writes its own."""
     quoted = [_quote(name) for name in script.universe.objects]
-    values, sets = RenderTable(functools.partial(json_masks, quoted)), []
+    values, sets = functools.cache(functools.partial(json_masks, quoted)), []
     for name, value, violations in entries:
         found = [
             f'{{\n          "kind": {_quote(v.kind)},\n'
@@ -98,7 +86,7 @@ def _check_json(script: SessionScript, entries, all_ok: bool) -> str:
             for v in violations
         ]
         sets.append(
-            f'{{\n      "name": {_quote(name)},\n      "value": {values[value.nec, value.adm]},\n'
+            f'{{\n      "name": {_quote(name)},\n      "value": {values(value.nec, value.adm)},\n'
             f'      "disc": {_JSON_BOOL[not violations]},\n'
             f'      "violations": {json_array(found, " " * 8)}\n    }}'
         )
@@ -153,47 +141,27 @@ def _oracle_report(reports: list | None, fixtures: list, ok: bool, as_json: bool
             f'  "ok": {_JSON_BOOL[ok]}\n}}\n')
 
 
-def cmd_laws(
-    law: str | None,
-    run_all: bool,
-    size: int | None,
-    limit: int,
-    as_json: bool,
-    out=None,
-    err=None,
-) -> int:
+def cmd_laws(law: str | None, run_all: bool, size: int | None, limit: int, as_json: bool) -> int:
     from . import oracle  # perfbench/tracing.py patches names on this module
 
-    out = out or sys.stdout
-    err = err or sys.stderr
     law_ids = oracle.law_ids() if run_all else [law]
     n = oracle.DECIDING_SIZE if size is None else size
-    try:
-        oracle.validate(n, limit)  # before the tables, which list all 3^n sets at once
-        tables = oracle._Tables(n)
-        reports = [oracle.check_law(law_id, n, limit=limit, tables=tables) for law_id in law_ids]
-    except NegsetError as exc:  # an unknown law, a bad size or limit, tables too large
-        print(f"error: {exc}", file=err)
-        return EXIT_CONFIG
+    oracle.validate(n, limit)  # before the tables, which list all 3^n sets at once
+    tables = oracle._Tables(n)
+    reports = [oracle.check_law(law_id, n, limit=limit, tables=tables) for law_id in law_ids]
     fixtures = [oracle.verify_fixture(fid) for fid in oracle.fixture_ids()] if run_all else []
     ok = all(r.matches_expected for r in reports) and all(f.passed for f in fixtures)
-    out.write(_oracle_report(reports, fixtures, ok, as_json))
+    sys.stdout.write(_oracle_report(reports, fixtures, ok, as_json))
     return EXIT_OK if ok else EXIT_FAILED_CHECKS
 
 
-def cmd_fixtures(fixture: str | None, as_json: bool, out=None, err=None) -> int:
+def cmd_fixtures(fixture: str | None, as_json: bool) -> int:
     from . import oracle
 
-    out = out or sys.stdout
-    err = err or sys.stderr
     ids = [fixture] if fixture else oracle.fixture_ids()
-    try:
-        results = [oracle.verify_fixture(fid) for fid in ids]
-    except NegsetError as exc:  # an unknown fixture
-        print(f"error: {exc}", file=err)
-        return EXIT_CONFIG
+    results = [oracle.verify_fixture(fid) for fid in ids]
     ok = all(r.passed for r in results)
-    out.write(_oracle_report(None, results, ok, as_json))
+    sys.stdout.write(_oracle_report(None, results, ok, as_json))
     return EXIT_OK if ok else EXIT_FAILED_CHECKS
 
 
@@ -228,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place where an error becomes its message and exit code."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "eval":
@@ -237,7 +206,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "laws":
             return cmd_laws(args.law, args.run_all, args.size, args.limit, args.json)
         return cmd_fixtures(args.fixture, args.json)
-    except NegsetError as exc:
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except NegsetError as exc:  # an unreadable script, unknown law, bad size, tables too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -95,3 +95,7 @@ class TableTooLarge(NegsetError):
         self.size = size
         self.entries = entries
         self.limit = limit
+
+
+class ScriptUnreadable(NegsetError):
+    """A session script could not be opened or read; the message is the OSError's."""

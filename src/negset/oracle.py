@@ -12,8 +12,8 @@ the three-valued knowledge order).  A sweep over all 3^2 negotiation sets
 of a two-object universe therefore decides every law.  One object is not
 enough: the point lemmas need two distinct objects.  Larger sizes, up to
 the twelve-object default universe, remain available as a cross-check; a
-law over two or more sets stops at eight, where its tables reach
-``TABLE_LIMIT``.
+law that reads one s×s table runs up to eight, and one that reads more, or
+``laws --all``, up to seven (``TABLE_LIMIT``).
 A sweep reads operator tables, built with core's mask arithmetic once per
 ``laws`` command, and decides one row of verdicts per first set at a time.
 
@@ -39,9 +39,11 @@ from .core import (
     Universe,
     _from_masks,
     complement_masks,
+    inter_masks,
     make_universe,
     odot_masks,
     oplus_masks,
+    union_masks,
 )
 # kept as oracle names, which perfbench/tracing.py spans
 from .core import complement, odot, odot_all, oplus, oplus_all  # noqa: F401
@@ -60,7 +62,7 @@ COUNTEREXAMPLES = "counterexamples"
 
 DECIDING_SIZE = 2  # see the module docstring
 _LETTERS = "abcdefghijkl"
-TABLE_LIMIT = 3 ** 16  # entries of one s×s operator table: s² at n = 8, s = 3^n sets
+TABLE_LIMIT = 3 ** 16  # entries of the s×s tables one table set holds: one at n = 8
 
 
 def default_universe(n: int) -> Universe:
@@ -103,18 +105,19 @@ class LawSpec(Record):
 class _Tables:
     """The sets of size n, numbered in ``enumerate_mask_pairs(n)`` order, and tables built
     on first read: ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j.
-    Reading an s×s table of more than ``TABLE_LIMIT`` entries raises ``TableTooLarge``."""
+    Their s×s entries together stay within ``TABLE_LIMIT``, or ``TableTooLarge`` is raised."""
 
     def __init__(self, n):
-        self.n, self.pairs, self.full = n, enumerate_mask_pairs(n), (1 << n) - 1
+        self.n, self.pairs, self.full, self.held = n, enumerate_mask_pairs(n), (1 << n) - 1, 0
 
     _number = cached_property(lambda self: {a: i for i, a in enumerate(self.pairs)})
 
     def _square(self):
-        """The s sets, once an s×s table of them is known to be within the limit."""
-        entries = len(self.pairs) ** 2
+        """The s sets, once one more s×s table of them keeps the entries held within the limit."""
+        entries = self.held + len(self.pairs) ** 2
         if entries > TABLE_LIMIT:
             raise TableTooLarge(self.n, entries, TABLE_LIMIT)
+        self.held = entries
         return self.pairs
 
     def _binary(self, op):
@@ -125,11 +128,12 @@ class _Tables:
     oplus = cached_property(lambda self: self._binary(oplus_masks))
     complement = cached_property(lambda self: [
         self._number[complement_masks(self.full, *a)] for a in self.pairs])
-    union = cached_property(lambda self: self._binary(lambda n, a, m, b: (n | m, a | b)))
-    inter = cached_property(lambda self: self._binary(lambda n, a, m, b: (n & m, a & b)))
+    union = cached_property(lambda self: self._binary(union_masks))
+    inter = cached_property(lambda self: self._binary(inter_masks))
     le = cached_property(lambda self: [[not (n & ~m or a & ~b) for m, b in self.pairs]
                                        for n, a in self._square()])
-    ge = cached_property(lambda self: [list(c) for c in zip(*self.le)])
+    ge = cached_property(lambda self: [[not (m & ~n or b & ~a) for m, b in self.pairs]
+                                       for n, a in self._square()])
 
 
 def _sweep(arity, rows):

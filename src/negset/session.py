@@ -25,9 +25,9 @@ complement; ``odot(A, B, C)`` etc. are the n-ary forms.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice
-from typing import Callable, Iterable
+from typing import Iterable
 
 try:  # the C encoder json.encoder uses, without loading the json package
     from _json import encode_basestring_ascii as _quote
@@ -573,12 +573,14 @@ class SessionReport(Record):
         return not self.halted and all(r.ok for r in self.results)
 
     def to_text(self) -> str:
-        texts, lines = RenderTable(self.universe.format_masks), []
+        # one cache per report renders each distinct set once; it is keyed on the
+        # masks, not on the value, whose hash covers the universe
+        texts, lines = cache(self.universe.format_masks), []
         for r in self.results:
             suffix = f"  # {'; '.join(r.notes)}" if r.notes else ""
             if r.kind in ("let", "eval"):
                 if r.ok:
-                    lines.append(f"{r.source} = {texts[r.value.nec, r.value.adm]}{suffix}")
+                    lines.append(f"{r.source} = {texts(r.value.nec, r.value.adm)}{suffix}")
                 else:
                     lines.append(f"{r.source}: ERROR {r.detail}{suffix}")
             elif r.kind == "assert_disc":
@@ -596,9 +598,9 @@ class SessionReport(Record):
         document, written directly: each object name is encoded once, each
         distinct set is written once, and each name list is one join."""
         quoted = [_quote(name) for name in self.universe.objects]
-        values, statements = RenderTable(partial(json_masks, quoted)), []
+        values, statements = cache(partial(json_masks, quoted)), []
         for r in self.results:
-            value = "null" if r.value is None else values[r.value.nec, r.value.adm]
+            value = "null" if r.value is None else values(r.value.nec, r.value.adm)
             statements.append(
                 f'{{\n      "kind": {_quote(r.kind)},\n      "source": {_quote(r.source)},\n'
                 f'      "ok": {_JSON_BOOL[r.ok]},\n      "value": {value},\n'
@@ -632,21 +634,6 @@ def json_masks(quoted: list[str], nec: int, adm: int) -> str:
 
     return (f'{{\n        "necessity": {names(nec)},\n'
             f'        "admissibility": {names(adm)}\n      }}')
-
-
-class RenderTable(dict):
-    """One render call's text for each ``(nec, adm)`` mask pair, made by ``render``
-    on first use, so a report renders each distinct set once.  Keyed on the masks,
-    not on the value, whose hash covers the universe: one table, one universe."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render: Callable[[int, int], str]):
-        self.render = render
-
-    def __missing__(self, masks: tuple[int, int]) -> str:
-        text = self[masks] = self.render(*masks)
-        return text
 
 
 _MASK_OPS = {"odot": core.odot_masks, "oplus": core.oplus_masks, "union": core.union_masks,

@@ -130,8 +130,11 @@ class TestCheck:
         assert out.count(": DISC") == 32
         assert len(built) == 1
 
+    DIRECTORY = object()  # the path names a directory
+
     @pytest.mark.parametrize("text,code,message", [
         (None, 4, "error: [Errno 2] No such file or directory"),
+        (DIRECTORY, 4, "error: [Errno 21] Is a directory"),
         ("universe a\nagent A = [{a} {}]\n", 2, "error: line 2: agent A:"),
         ("universe a\nagent A = [{a}\n", 2, "error: 2:15: expected '{'"),
         (b"universe a\xff b\n", 2,
@@ -139,7 +142,9 @@ class TestCheck:
     ])
     def test_load_errors_match_eval(self, tmp_path, text, code, message):
         path = tmp_path / "script.ns"
-        if isinstance(text, bytes):
+        if text is self.DIRECTORY:
+            path.mkdir()
+        elif isinstance(text, bytes):
             path.write_bytes(text)
         elif text is not None:
             path.write_text(text)
@@ -266,9 +271,7 @@ class TestLaws:
         assert "counterexamples" in out
 
     def test_unknown_law(self):
-        code, _, err = run(["laws", "--law", "bogus"])
-        assert code == 4
-        assert "bogus" in err
+        assert run(["laws", "--law", "bogus"]) == (4, "", "error: no such law: 'bogus'\n")
 
     def test_size_above_old_cap_accepted(self):
         code, _, _ = run(["laws", "--law", "idempotence-odot", "--size", "7"])
@@ -325,6 +328,18 @@ class TestLaws:
         for law in ("idempotence-odot", "point-lemmas"):  # no s×s table read
             assert run(["laws", "--law", law])[0] == 0
 
+    def test_the_limit_bounds_the_tables_one_command_holds(self, monkeypatch):
+        from negset import oracle
+
+        monkeypatch.setattr(oracle, "TABLE_LIMIT", 2 * 81)  # two tables at n = 2
+        assert run(["laws", "--law", "commutativity-odot"])[0] == 0  # one table
+        message = ("error: universe size 2 needs operator tables of 243 entries, "
+                   "over the limit of 162\n")
+        # bounds-upper reads le, union and odot, bounds-lower ge, inter and oplus;
+        # --all reaches bounds-upper holding odot and oplus
+        for which in (["--law", "bounds-upper"], ["--law", "bounds-lower"], ["--all"]):
+            assert run(["laws", *which]) == (4, "", message)
+
     def test_all_json_at_deciding_size(self):
         code, out, _ = run(["laws", "--all", "--json"])
         assert code == 0
@@ -353,9 +368,8 @@ class TestFixtures:
         assert "pass" in out
 
     def test_unknown(self):
-        code, _, err = run(["fixtures", "--fixture", "bogus"])
-        assert code == 4
-        assert "bogus" in err
+        assert run(["fixtures", "--fixture", "bogus"]) == (
+            4, "", "error: no such fixture: 'bogus'\n")
 
     def test_json(self):
         code, out, _ = run(["fixtures", "--json"])
@@ -477,7 +491,12 @@ class TestDeepNesting:
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         ["eval", str(SESSIONS / "trip.ns")],
+        ["eval", "--json", str(SESSIONS / "trip.ns")],
+        ["check", str(SESSIONS / "trip.ns")],
+        ["check", "--json", str(SESSIONS / "trip.ns")],
         ["laws", "--all"],
+        ["laws", "--all", "--json"],
+        ["fixtures"],
     ])
     def test_exits_141_without_traceback(self, argv):
         read_end, write_end = os.pipe()

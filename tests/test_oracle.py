@@ -283,6 +283,15 @@ class TestTables:
         assert isinstance(raised.value, NegsetError)
         assert peak < 100_000
 
+    def test_the_limit_bounds_the_sum_of_the_tables_held(self, monkeypatch):
+        monkeypatch.setattr(oracle, "TABLE_LIMIT", 5 * 81)  # five s×s tables at n = 2
+        t = oracle._Tables(2)
+        # the s-entry complement is not counted, and a table read twice counts once
+        for name in ("ge", "complement", "odot", "oplus", "union", "inter", "odot"):
+            getattr(t, name)
+        with pytest.raises(TableTooLarge, match="of 486 entries, over the limit of 405$"):
+            t.le
+
     def test_the_limit_admits_size_eight(self):
         assert len(oracle.enumerate_mask_pairs(8)) ** 2 == oracle.TABLE_LIMIT
 

@@ -75,17 +75,28 @@ def make_contradiction_spec(
     weak_pairs: Iterable[tuple[str, str]] = (),
     dominance_pairs: Iterable[tuple[str, str]] = (),
 ) -> ContradictionSpec:
+    index = universe._index
+    try:  # each relation's names are looked up as _build_spec reads it
+        return _build_spec(universe, *(((index[x], index[y]) for x, y in pairs)
+                                       for pairs in (strong_pairs, weak_pairs, dominance_pairs)))
+    except KeyError as exc:
+        raise UnknownObject(exc.args[0]) from None
+
+
+def _build_spec(universe: Universe, strong_pairs: Iterable[tuple[int, int]],
+                weak_pairs: Iterable, dominance_pairs: Iterable) -> ContradictionSpec:
+    """The spec of three relations of index pairs, checked strong, weak, overlap, dominance."""
     # pairs may come in any order and repeat; every pair an error names is
     # the lowest one by index whatever that order is
     objects = universe.objects
-    strong = _rows(universe, strong_pairs, True, ReflexivePair)
-    weak = _rows(universe, weak_pairs, True, ReflexivePair)
+    strong = _rows(objects, strong_pairs, True, ReflexivePair)
+    weak = _rows(objects, weak_pairs, True, ReflexivePair)
     # compress(count(), rows) gives the indices of the non-empty rows
     for i in compress(count(), strong):
         if strong[i] & weak[i]:
             raise OverlappingKinds(objects[i], objects[next(iter_bits(strong[i] & weak[i]))])
 
-    beats = _rows(universe, dominance_pairs, False,
+    beats = _rows(objects, dominance_pairs, False,
                   lambda x: DominanceNotStrictOrder(f"({x}, {x}) is reflexive"))
     # transitive iff every row holds the rows of the objects it holds; with no
     # reflexive pair, a pair declared both ways breaks that too, so only a
@@ -103,26 +114,22 @@ def make_contradiction_spec(
     return ContradictionSpec(universe, tuple(strong), tuple(weak), tuple(beats))
 
 
-def _rows(universe: Universe, pairs: Iterable[tuple[str, str]], symmetric: bool,
+def _rows(objects: Sequence[str], pairs: Iterable[tuple[int, int]], symmetric: bool,
           reflexive_error: Callable[[str], Exception]) -> list[int]:
-    """One mask row per object from name pairs (x, y): bit y of row x, or for
+    """One mask row per object from index pairs (i, j): bit j of row i, or for
     a symmetric relation the higher index's bit in the lower index's row."""
-    index, rows = universe._index, [0] * len(universe)
-    try:
-        if symmetric:
-            for x, y in pairs:
-                i, j = index[x], index[y]
-                if i > j:
-                    i, j = j, i
-                rows[i] |= 1 << j
-        else:
-            for x, y in pairs:
-                rows[index[x]] |= 1 << index[y]
-    except KeyError as exc:
-        raise UnknownObject(exc.args[0]) from None
+    rows = [0] * len(objects)
+    if symmetric:
+        for i, j in pairs:
+            if i > j:
+                i, j = j, i
+            rows[i] |= 1 << j
+    else:
+        for i, j in pairs:
+            rows[i] |= 1 << j
     looped = next((i for i in compress(count(), rows) if rows[i] >> i & 1), None)
     if looped is not None:
-        raise reflexive_error(universe.objects[looped])
+        raise reflexive_error(objects[looped])
     return rows
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from functools import cache, partial
 from itertools import chain, islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 try:  # the C encoder json.encoder uses, without loading the json package
     from _json import encode_basestring_ascii as _quote
@@ -52,8 +52,9 @@ from .consistency import (
     ObjectDominance,
     ResolutionPolicy,
     Strict,
+    _build_spec,
     disc_violations,
-    make_contradiction_spec,
+    make_contradiction_spec,  # noqa: F401  kept for perfbench/tracing.py, which spans it here
     resolve_odot,
 )
 from .errors import InputNotDisc, NegsetError, NotDouble, UnknownObject
@@ -147,16 +148,17 @@ _STRAY = re.compile(r"[^\w\s()\[\]{},=>.-]")
 _ALLOWED_ASCII = bytes(b for b in range(128) if not _STRAY.match(chr(b)))
 _EOL = ";"  # a stray character, so no text that passes the stray check holds one
 _SYMBOLS = frozenset("()[]{},=>")
-_NOT_NAMES = _SYMBOLS | {_EOL, ""}  # "" marks the end of the text
+_NOT_NAMES = _SYMBOLS | {_EOL, ""}  # "" marks the end of a window
+_WINDOW = 32768  # characters lexed at a time: a bounded token list, short-lived strings
 
 
-def _lex(text: str) -> tuple[list[str], str]:
-    """The tokens of ``text``, and the text without comments that they were read from.
+def _lex(text: str) -> tuple[str, Iterator[list[str]]]:
+    """The text without comments, checked for stray characters, and its tokens lazily,
+    one window at a time: the lines up to the first line end after _WINDOW characters.
 
     A line end is appended to the text, so that every statement ends with
-    one, and "" to the token list.  With every symbol padded by spaces and
-    each line end made an _EOL word, one ``split`` gives the tokens that
-    ``_TOKEN.findall`` gives, since both follow ``str.isspace``.
+    one.  With every symbol padded by spaces and each line end made an _EOL
+    word, one ``split`` gives the tokens that ``_TOKEN.findall`` gives.
     """
     code = (_COMMENT.sub("", text) if "#" in text else text) + "\n"
     # a non-ASCII text is left to the regex: it may hold a lone surrogate,
@@ -166,13 +168,17 @@ def _lex(text: str) -> tuple[list[str], str]:
         if stray:
             line, col = _line_col(code, stray.start())
             raise ParseError(line, col, f"unexpected character {stray.group()!r}")
-    spaced = code.replace("\n", f" {_EOL} ")
-    for sym in _SYMBOLS:
-        if sym in spaced:
+    return code, _windows(code)
+
+
+def _windows(code: str) -> Iterator[list[str]]:
+    end = 0
+    while end < len(code):
+        start, end = end, code.find("\n", end + _WINDOW) + 1 or len(code)
+        spaced = code[start:end].replace("\n", f" {_EOL} ")
+        for sym in _SYMBOLS:  # a str.replace that finds nothing returns its string
             spaced = spaced.replace(sym, f" {sym} ")
-    tokens = spaced.split()
-    tokens.append("")
-    return tokens, code
+        yield spaced.split()
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -187,21 +193,21 @@ _STATEMENTS = {"universe", "agent", "policy", *_RELATIONS, "let", "eval", "asser
 
 
 class _Parser:
-    """Reads the token list with an index; positions are worked out only for an error."""
+    """Reads one window of tokens at a time; positions are worked out only for an error."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens, self.code = _lex(text)
-        self.pos = 0
+        self.code, self.windows = _lex(text)
+        self.tokens, self.pos, self.offset = [""], 0, 0  # offset: tokens of earlier windows
         self.line = 1  # the current line: one more than the line ends read
 
     def position(self, index: int) -> tuple[int, int]:
-        """Line and column of token ``index``, from a scan of the text up to it.
+        """Line and column of token ``index`` of this window, from a scan of the text up to it.
 
         Only a statement can start at the end of the text, so no error is
         reported there.
         """
-        match = next(islice(_TOKEN.finditer(self.code), index, None))
+        match = next(islice(_TOKEN.finditer(self.code), self.offset + index, None))
         line, col = _line_col(self.code, match.start())
         if match.group() == "\n":  # just past the line as written, comment included
             col = len(self.text.split("\n")[line - 1]) + 1
@@ -346,21 +352,28 @@ def parse_session(text: str) -> SessionScript:
     p = _Parser(text)
     universe: Universe | None = None
     agents: list[tuple[str, NegotiationSet]] = []
-    runs: dict[str, list] = {kind: [] for kind in _RELATIONS}  # per kind: (first line, xs, ys)
+    runs: dict[str, list] = {kind: [] for kind in _RELATIONS}  # per kind: index columns xs, ys
+    unknown: dict[str, tuple] = {}  # per kind: the first run naming an unknown object
     read_to = 0  # up to here a run that failed its checks is read line by line
     policy: ResolutionPolicy | None = None
     policy_line: int | None = None
     statements: list[Statement] = []
     known_names: set[str] = set()
 
-    tokens, n_tokens = p.tokens, len(p.tokens)
+    tokens = p.tokens
     while True:
         while tokens[p.pos] == _EOL:  # a blank line
             p.pos += 1
             p.line += 1
         keyword, line = tokens[p.pos], p.line
-        if not keyword:
-            break
+        if not keyword:  # the end of a window
+            p.offset, p.pos = p.offset + p.pos, 0
+            tokens = p.tokens = next(p.windows, None)
+            if tokens is None:
+                break
+            tokens.append("")
+            n_tokens, read_to = len(tokens), 0
+            continue
         if keyword in _SYMBOLS:
             raise p.fail(f"expected statement keyword, found {keyword!r}")
         if universe is None and keyword != "universe":
@@ -379,6 +392,7 @@ def parse_session(text: str) -> SessionScript:
                 universe = make_universe(names)
             except NegsetError as exc:
                 raise ValidationError(str(exc), line) from exc
+            index = universe._index
         elif keyword == "agent":
             name = p.binding("agent name", line)
             nec, adm = p.parse_negset_literal()
@@ -410,7 +424,10 @@ def parse_session(text: str) -> SessionScript:
                     p.expect_sym(">")
                 ys = [p.expect_name("object name")]
                 p.end_line()
-            runs[keyword].append((line, xs, ys))
+            try:
+                runs[keyword].append([list(map(index.__getitem__, names)) for names in (xs, ys)])
+            except KeyError:
+                unknown.setdefault(keyword, (line, xs, ys))
         elif keyword == "policy":
             if policy is not None:
                 raise ValidationError("duplicate policy declaration", line)
@@ -444,13 +461,12 @@ def parse_session(text: str) -> SessionScript:
     if universe is None:
         raise ValidationError("script declares no universe")
 
-    known = universe._index.keys()
     for kind in _RELATIONS:
-        for first, xs, ys in runs[kind]:
-            if not known >= {*xs, *ys}:
-                at, name = next((at, name) for at, pair in enumerate(zip(xs, ys))
-                                for name in pair if name not in known)
-                raise ValidationError(f"object {name!r} not in universe", first + at)
+        if kind in unknown:
+            first, xs, ys = unknown[kind]
+            at, name = next((at, name) for at, pair in enumerate(zip(xs, ys))
+                            for name in pair if name not in index)
+            raise ValidationError(f"object {name!r} not in universe", first + at)
 
     if isinstance(policy, AgentPriority):
         ranking = policy.ranking
@@ -464,9 +480,9 @@ def parse_session(text: str) -> SessionScript:
         if uncovered:
             raise ValidationError(f"ranking does not cover agents: {uncovered}", policy_line)
 
-    pairs = [chain.from_iterable(zip(xs, ys) for _, xs, ys in runs[k]) for k in _RELATIONS]
+    pairs = [chain.from_iterable(zip(xs, ys) for xs, ys in runs[k]) for k in _RELATIONS]
     try:
-        spec = make_contradiction_spec(universe, *pairs)
+        spec = _build_spec(universe, *pairs)
     except NegsetError as exc:
         raise ValidationError(str(exc)) from exc
     return SessionScript(

@@ -233,18 +233,21 @@ class TestCheckRenderTable:
 class TestSpecBuilds:
     @pytest.fixture
     def builds(self, monkeypatch):
+        # every spec is built by consistency._build_spec: the parser calls it
+        # directly and make_contradiction_spec after looking up the names
         import negset.consistency
         import negset.session
 
         calls = []
-        original = negset.consistency.make_contradiction_spec
+        original = negset.consistency._build_spec
 
-        def counting(universe, *relations, **named):
-            calls.append(any(relations) or any(named.values()))
-            return original(universe, *relations, **named)
+        def counting(universe, *relations):
+            relations = [list(pairs) for pairs in relations]
+            calls.append(any(relations))
+            return original(universe, *relations)
 
-        for module in (negset.consistency, negset.session, cli):
-            monkeypatch.setattr(module, "make_contradiction_spec", counting)
+        for module in (negset.consistency, negset.session):
+            monkeypatch.setattr(module, "_build_spec", counting)
         return calls
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])

@@ -467,3 +467,55 @@ def test_mask_operators_act_on_each_object_separately(name):
             assert (nec >> i & 1, adm >> i & 1) == op(*[1] * takes_full, *projected), (operands, i)
         checked += 1
     assert checked == 3 ** (n * arity)
+
+
+# The three-valued reading (README): a set grades each object 1 (necessary),
+# H = ½ (admissible only) or 0; each table is the README's, row by left grade.
+H = "½"
+GRADE_MASKS = {0: (0, 0), H: (0, 1), 1: (1, 1)}
+GRADES = list(GRADE_MASKS)
+GRADE_TABLES = {
+    "odot_masks": [[0, H, H], [H, H, H], [H, H, 1]],
+    "oplus_masks": [[0, 0, 0], [0, H, 1], [0, 1, 1]],
+    "union_masks": [[0, H, 1], [H, H, 1], [1, 1, 1]],
+    "inter_masks": [[0, 0, 0], [0, H, H], [0, H, 1]],
+    "difference_masks": [[0, 0, 0], [H, H, 0], [1, H, 0]],
+}
+
+
+def grade_of(masks):
+    return next(g for g, m in GRADE_MASKS.items() if m == masks)
+
+
+@pytest.mark.parametrize("name", sorted(GRADE_TABLES))
+def test_grade_table_of_each_binary_operator(name):
+    op = getattr(core, name)
+    table = [[grade_of(op(*GRADE_MASKS[x], *GRADE_MASKS[y])) for y in GRADES] for x in GRADES]
+    assert table == GRADE_TABLES[name]
+
+
+def test_grade_table_of_not():
+    assert [grade_of(complement_masks(1, *GRADE_MASKS[x])) for x in GRADES] == [1, H, 0]
+
+
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+def test_disc_in_grades(kind):
+    # a strong pair may not have both grades >= ½; a weak pair may not have
+    # both grades >= ½ with either grade 1
+    u = ns.make_universe(["a", "b"])
+    spec = ns.make_contradiction_spec(u, **{f"{kind}_pairs": [("a", "b")]})
+    for x, y in product(GRADES, repeat=2):
+        (nx, ax), (ny, ay) = GRADE_MASKS[x], GRADE_MASKS[y]
+        a = core._from_masks(u, nx | ny << 1, ax | ay << 1)
+        both_admitted = x != 0 and y != 0
+        expected = not both_admitted if kind == "strong" else not (both_admitted and 1 in (x, y))
+        assert ns.is_disc(a, spec) == expected, (x, y)
+
+
+@pytest.mark.parametrize("law,counterexample", [
+    ("absorption-odot-oplus", "A=[{a} {a}] B=[{} {}]"),
+    ("distributivity-oplus-over-odot", "A=[{a} {a}] B=[{} {}] C=[{} {a}]"),
+    ("distributivity-odot-over-oplus", "A=[{a} {a}] B=[{} {}] C=[{a} {a}]"),
+])
+def test_refuted_laws_fail_on_one_object(law, counterexample):
+    assert counterexample in oracle.check_law(law, 1, limit=50).counterexamples

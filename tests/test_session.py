@@ -1,12 +1,13 @@
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import negset as ns
-from negset import cli
+from negset import cli, session
 from negset.consistency import AgentPriority, FewestNecessities, ObjectDominance, Strict
 from negset.session import (
     AssertDisc,
@@ -108,20 +109,113 @@ class TestLexer:
         assert _STRAY.match(_EOL)
 
     @settings(max_examples=1000)
-    @given(st.text(st.sampled_from(LEX_ALPHABET), max_size=40))
-    def test_tokens_are_the_regex_tokens(self, text):
+    @given(st.text(st.sampled_from(LEX_ALPHABET), max_size=40), st.integers(0, 6))
+    def test_tokens_are_the_regex_tokens(self, text, window):
+        # windows of a few characters, so that a text of more than one line
+        # is read as several
         code = _COMMENT.sub("", text) + "\n"
         stray = _STRAY.search(code)
-        if stray is None:
-            tokens = [_EOL if token == "\n" else token for token in _TOKEN.findall(code)]
-            assert _lex(text) == (tokens + [""], code)
-        else:
-            at = stray.start()
-            with pytest.raises(ParseError) as info:
-                _lex(text)
-            assert (info.value.line, info.value.col) == (
-                code.count("\n", 0, at) + 1, at - code.rfind("\n", 0, at))
-            assert info.value.reason == f"unexpected character {stray.group()!r}"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(session, "_WINDOW", window)
+            if stray is None:
+                tokens = [_EOL if token == "\n" else token for token in _TOKEN.findall(code)]
+                lexed, windows = _lex(text)
+                windows = list(windows)
+                assert lexed == code
+                assert [token for w in windows for token in w] == tokens
+                assert all(w[-1] == _EOL for w in windows)  # whole lines only
+            else:
+                at = stray.start()
+                with pytest.raises(ParseError) as info:
+                    _lex(text)
+                assert (info.value.line, info.value.col) == (
+                    code.count("\n", 0, at) + 1, at - code.rfind("\n", 0, at))
+                assert info.value.reason == f"unexpected character {stray.group()!r}"
+
+
+def wide_text() -> str:
+    """About 420 KB: 2,000 objects, 20,000 strong and weak pairs and a total
+    dominance order of 80 objects."""
+    rng, names = random.Random(3), [f"o{i}" for i in range(2000)]
+    pairs = set()
+    while len(pairs) < 20000:
+        pairs.add(tuple(sorted(rng.sample(range(2000), 2))))
+    pairs = sorted(pairs)
+    lines = ["universe " + " ".join(names), "agent A = [{o0} {o0 o1}]", "agent B = [{} {o2}]"]
+    lines += [f"strong {names[i]} {names[j]}" for i, j in pairs[::2]]
+    lines += [f"weak {names[i]} {names[j]}" for i, j in pairs[1::2]]
+    order = names[100:180]
+    lines += [f"dominance {x} > {y}" for k, x in enumerate(order) for y in order[k + 1:]]
+    lines += ["policy dominance", "let S = A odot B", "assert_disc S"]
+    return "\n".join(lines) + "\n"
+
+
+class TestWindows:
+    """A script is lexed one window of lines at a time; windows of a few
+    characters read every script as the one window of the default size does,
+    and report every error at the same place with the same text."""
+
+    HEAD = "universe " + " ".join(f"o{i}" for i in range(40)) + "\nagent A = [{o1} {o1 o2}]\n"
+
+    SCRIPTS = [
+        # a relation run of each kind, across many windows
+        HEAD + "".join(f"strong o{i} o{i + 20}\n" for i in range(20))
+        + "".join(f"weak o{i} o{i + 1}\n" for i in range(20, 39, 2))
+        + "".join(f"dominance o0 > o{i}\n" for i in range(20, 40)) + "policy dominance\n",
+        # a long agent literal and a long let, each longer than a window
+        HEAD + "agent B = [{" + " ".join(f"o{i}" for i in range(0, 40, 2)) + "} {"
+        + " ".join(f"o{i}" for i in range(40)) + "}]\n"
+        + "let S = " + " oplus ".join(["not (A odot B)"] * 12) + "\neval union(S, A, B)\n",
+        # comments and blank lines around the window ends
+        HEAD + "# note\n\n\nstrong o3 o4 # a pair\n\n" * 5 + "eval A\n",
+    ]
+
+    @staticmethod
+    def parsed(text, window):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(session, "_WINDOW", window)
+            return parse_session(text)
+
+    @pytest.mark.parametrize("idx", range(len(SCRIPTS)))
+    @pytest.mark.parametrize("window", [0, 5, 17, 64])
+    def test_small_windows_parse_to_the_same_script(self, idx, window):
+        text = self.SCRIPTS[idx]
+        assert self.parsed(text, window) == parse_session(text)
+
+    def test_parse_peak_memory(self):
+        # with one token list for the whole text the peak was about 6.7 MB
+        # (Python 3.11.7); windows of tokens and index columns keep it near 2.3 MB
+        text = wide_text()
+        tracemalloc.start()
+        try:
+            script = parse_session(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(script.strong) + len(script.weak) == 20000 and len(script.dominance) == 3160
+        assert peak < 3.5e6
+
+    PAD = "eval A\n" * 6000  # past the first window of the default size
+
+    @pytest.mark.parametrize("tail,message", [
+        ("eval A @ A\n", "6003:8: unexpected character '@'"),
+        ("strong o1 o2\nstrong o1\nstrong o3 o4\n", "6004:10: expected object name, found 'NEWLINE'"),
+        ("dominance o1 o2\n", "6003:14: expected '>', found 'o2'"),
+        ("eval (A\n", "6003:8: expected ')', found 'NEWLINE'"),
+        ("weak o1 o2\nweak o3 zz\n", "line 6004: object 'zz' not in universe"),
+        # the first run of a kind with an unknown object is reported, strong before weak
+        ("weak o1 zz\nweak o3 o4\neval A\nweak o3 yy\n", "line 6003: object 'zz' not in universe"),
+        ("weak o1 zz\nstrong o2 o3\nstrong o4 yy\n", "line 6005: object 'yy' not in universe"),
+        ("eval A odot Z\n", "line 6003: unknown name 'Z'"),
+        ("policy strict\npolicy dominance\n", "line 6004: duplicate policy declaration"),
+    ])
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_errors_past_the_first_window(self, tail, message, window):
+        text = self.HEAD + self.PAD + tail
+        assert len(text) > session._WINDOW
+        with pytest.raises((ParseError, ValidationError)) as info:
+            parse_session(text) if window is None else self.parsed(text, window)
+        assert str(info.value) == message
 
 
 class TestValidation:

@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except NegsetError as exc:  # an unreadable script, unknown law, bad size, tables too large
+    except NegsetError as exc:  # an unreadable script, unknown law or fixture, bad size or limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -88,14 +88,5 @@ class NegativeLimit(NegsetError):
         self.limit = limit
 
 
-class TableTooLarge(NegsetError):
-    def __init__(self, size, entries, limit):
-        super().__init__(f"universe size {size} needs operator tables of {entries:,} entries, "
-                         f"over the limit of {limit:,}")
-        self.size = size
-        self.entries = entries
-        self.limit = limit
-
-
 class ScriptUnreadable(NegsetError):
     """A session script could not be opened or read; the message is the OSError's."""

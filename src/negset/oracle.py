@@ -10,10 +10,9 @@ preserve equations and Horn inclusions, and any counterexample projects
 onto the at most two objects it involves (Birkhoff 1935; Fitting 1991 for
 the three-valued knowledge order).  A sweep over all 3^2 negotiation sets
 of a two-object universe therefore decides every law.  One object is not
-enough: the point lemmas need two distinct objects.  Larger sizes, up to
-the twelve-object default universe, remain available as a cross-check; a
-law that reads one s×s table runs up to eight, and one that reads more, or
-``laws --all``, up to seven (``TABLE_LIMIT``).
+enough: the point lemmas need two distinct objects.  Sizes up to five
+remain available as a cross-check: there every law ends, ``laws --all``
+in two to three minutes, most of it in the two DISC laws.
 A sweep reads operator tables, built with core's mask arithmetic once per
 ``laws`` command, and decides one row of verdicts per first set at a time.
 
@@ -52,17 +51,15 @@ from .consistency import (
     disc_violations,
     is_disc,
     make_contradiction_spec,
-    ContradictionSpec,
 )
-from .errors import NegativeLimit, SizeOutOfRange, TableTooLarge, UnknownFixture, UnknownLaw
+from .errors import NegativeLimit, SizeOutOfRange, UnknownFixture, UnknownLaw
 from .session import SessionScript, parse_session, run_session
 
 HOLDS = "holds-everywhere"
 COUNTEREXAMPLES = "counterexamples"
 
 DECIDING_SIZE = 2  # see the module docstring
-_LETTERS = "abcdefghijkl"
-TABLE_LIMIT = 3 ** 16  # entries of the s×s tables one table set holds: one at n = 8
+_LETTERS = "abcde"  # one per object: sizes 1 to 5, where every law ends
 
 
 def default_universe(n: int) -> Universe:
@@ -97,7 +94,7 @@ class LawReport(Record):
 
 
 class LawSpec(Record):
-    """``cases(n, spec, tables)`` gives a law's tuples at size n, its verdicts as
+    """``cases(n, tables)`` gives a law's tuples at size n, its verdicts as
     lists of booleans in the same order, and the text of a counterexample."""
     __slots__ = _fields = ("law_id", "expects_counterexample", "cases")
 
@@ -105,24 +102,15 @@ class LawSpec(Record):
 class _Tables:
     """The sets of size n, numbered in ``enumerate_mask_pairs(n)`` order, and tables built
     on first read: ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j.
-    Their s×s entries together stay within ``TABLE_LIMIT``, or ``TableTooLarge`` is raised."""
+    At n ≤ 5 a table has at most 243² = 59,049 entries."""
 
     def __init__(self, n):
-        self.n, self.pairs, self.full, self.held = n, enumerate_mask_pairs(n), (1 << n) - 1, 0
+        self.pairs, self.full = enumerate_mask_pairs(n), (1 << n) - 1
 
     _number = cached_property(lambda self: {a: i for i, a in enumerate(self.pairs)})
 
-    def _square(self):
-        """The s sets, once one more s×s table of them keeps the entries held within the limit."""
-        entries = self.held + len(self.pairs) ** 2
-        if entries > TABLE_LIMIT:
-            raise TableTooLarge(self.n, entries, TABLE_LIMIT)
-        self.held = entries
-        return self.pairs
-
     def _binary(self, op):
-        pairs = self._square()
-        return [[self._number[op(*a, *b)] for b in pairs] for a in pairs]
+        return [[self._number[op(*a, *b)] for b in self.pairs] for a in self.pairs]
 
     odot = cached_property(lambda self: self._binary(odot_masks))
     oplus = cached_property(lambda self: self._binary(oplus_masks))
@@ -131,15 +119,15 @@ class _Tables:
     union = cached_property(lambda self: self._binary(union_masks))
     inter = cached_property(lambda self: self._binary(inter_masks))
     le = cached_property(lambda self: [[not (n & ~m or a & ~b) for m, b in self.pairs]
-                                       for n, a in self._square()])
+                                       for n, a in self.pairs])
     ge = cached_property(lambda self: [[not (m & ~n or b & ~a) for m, b in self.pairs]
-                                       for n, a in self._square()])
+                                       for n, a in self.pairs])
 
 
 def _sweep(arity, rows):
     """Cases of a law over ``arity`` sets A, B, C: every tuple of set numbers, and
     ``rows(t)``, the verdicts read from the tables t, one row per first set."""
-    def cases(n, spec, t):
+    def cases(n, t):
         fmt = default_universe(n).format_masks
 
         def describe(sets):
@@ -197,7 +185,7 @@ def _bounds(rel, bound, op):
             for a, r1 in enumerate(rel))
 
 
-def _points(n, spec, t):
+def _points(n, t):
     """Both point lemmas for each ordered pair of distinct objects and grades."""
     u, grade = default_universe(n), ("0.5", "1")
     objects, grades = list(permutations(range(n), 2)), list(product((0, 1), repeat=2))
@@ -215,18 +203,16 @@ def _points(n, spec, t):
 
 
 def _disc_law(op, flag=None):
-    """Cases of a DISC law: pairs of DISC sets under spec, or else under each labeling of
-    object pairs as none, strong or weak; verdicts ``flag(A op B, spec)``, or DISC."""
-    def cases(n, spec, t):
+    """Cases of a DISC law: pairs of DISC sets under each labeling of object pairs as
+    none, strong or weak; verdicts ``flag(A op B, spec)``, or DISC."""
+    def cases(n, t):
         u, pairs = default_universe(n), list(combinations(_LETTERS[:n], 2))
         sets, table = enumerate_negsets(u), getattr(t, op)
-        labelings = product("nsw", repeat=len(pairs))  # none, strong or weak per pair
-        specs = [spec] if spec is not None else [make_contradiction_spec(u, *(
-            [p for p, label in zip(pairs, labels) if label == kind] for kind in "sw"))
-            for labels in labelings]
 
         def per_spec():
-            for sp in specs:
+            for labels in product("nsw", repeat=len(pairs)):  # none, strong or weak per pair
+                sp = make_contradiction_spec(u, *(
+                    [p for p, label in zip(pairs, labels) if label == kind] for kind in "sw"))
                 disc = [is_disc(a, sp) for a in sets]
                 ok = disc if flag is None else [flag(a, sp) for a in sets]
                 yield sp, list(compress(range(len(sets)), disc)), ok
@@ -260,7 +246,7 @@ def _fold(op, grow, done=list):
     """Cases of a fold law: families of one to three sets, the left fold through the table
     against the n-ary form from its definition, one row per prefix, depth first:
     ``grow(acc, pairs)`` extends the prefix by each set, ``done`` finishes the row."""
-    def cases(n, spec, t):
+    def cases(n, t):
         u, table, pairs = default_universe(n), getattr(t, op), t.pairs
         sets = range(len(pairs))
 
@@ -322,10 +308,10 @@ def validate(n: int, limit: int) -> None:
         raise NegativeLimit(limit)
 
 
-def check_law(law_id: str, n: int = DECIDING_SIZE, spec: ContradictionSpec | None = None,
-              limit: int = 5, *, tables: _Tables | None = None) -> LawReport:
-    """Sweep one law over every case at size n; ``spec`` fixes the DISC laws' relations,
-    and the sweeps of one command may share ``tables``, unless built for another size."""
+def check_law(law_id: str, n: int = DECIDING_SIZE, *, limit: int = 5,
+              tables: _Tables | None = None) -> LawReport:
+    """Sweep one law over every case at size n; the sweeps of one command may share
+    ``tables``, unless built for another size."""
     try:
         law = LAWS[law_id]
     except KeyError:
@@ -334,7 +320,7 @@ def check_law(law_id: str, n: int = DECIDING_SIZE, spec: ContradictionSpec | Non
     start = time.perf_counter()
     if tables is None or len(tables.pairs) != 3 ** n:
         tables = _Tables(n)
-    tuples, rows, describe = law.cases(n, spec, tables)
+    tuples, rows, describe = law.cases(n, tables)
     checked, end = 0, object()
 
     def tally(row):

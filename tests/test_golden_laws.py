@@ -1,8 +1,8 @@
 """The law oracle end to end: ``laws --law X --size n --json`` for every law at
-n = 1, 2, 3, ``laws --all`` as JSON and as text, and ``fixtures`` as text and
-JSON give the recorded exit code and output.  Timings are taken out first:
-the ``elapsed`` field of each JSON law report, and the ``(…s)`` of each text
-line.
+n = 1, 2, 3, ``laws --all`` as JSON and as text, ``laws --all --size 4`` as
+JSON, and ``fixtures`` as text and JSON give the recorded exit code and
+output.  Timings are taken out first: the ``elapsed`` field of each JSON law
+report, and the ``(…s)`` of each text line.
 
 ``python tests/test_golden_laws.py`` rewrites ``tests/golden_laws.json`` from
 the current code; only a change that means to alter an output should."""
@@ -24,8 +24,8 @@ SECONDS = re.compile(r"\d+\.\d+s\)")
 def cases() -> list[list[str]]:
     per_law = [["laws", "--law", law, "--size", str(n), "--json"]
                for law in oracle.law_ids() for n in (1, 2, 3)]
-    return per_law + [["laws", "--all", "--json"], ["laws", "--all"],
-                      ["fixtures"], ["fixtures", "--json"]]
+    return per_law + [["laws", "--all", "--json"], ["laws", "--all", "--size", "4", "--json"],
+                      ["laws", "--all"], ["fixtures"], ["fixtures", "--json"]]
 
 
 def run(argv: list[str]) -> dict:

@@ -12,9 +12,10 @@ the three-valued knowledge order).  A sweep over all 3^2 negotiation sets
 of a two-object universe therefore decides every law.  One object is not
 enough: the point lemmas need two distinct objects.  Sizes up to five
 remain available as a cross-check: there every law ends, ``laws --all``
-in two to three minutes, most of it in the two DISC laws.
+in about a minute, most of it in the two DISC laws.
 A sweep reads operator tables, built with core's mask arithmetic once per
-``laws`` command, and decides one row of verdicts per first set at a time.
+``laws`` command, and decides one keyed row of verdicts at a time: per first
+set, per fold prefix, per ordered object pair, or per DISC labeling.
 
 Laws expected to hold must report zero violations; refuted laws must
 surface at least one counterexample.  A fixture catalog re-derives every
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from itertools import chain, combinations, compress, islice, permutations, product, tee
+from itertools import combinations, compress, count, islice, permutations, product
 from operator import eq, itemgetter, not_
 
 from .core import (
@@ -44,14 +45,10 @@ from .core import (
     oplus_masks,
     union_masks,
 )
+from .consistency import is_disc, make_contradiction_spec
 # kept as oracle names, which perfbench/tracing.py spans
 from .core import complement, odot, odot_all, oplus, oplus_all  # noqa: F401
-from .consistency import (
-    WEAK_WITH_NECESSITY,
-    disc_violations,
-    is_disc,
-    make_contradiction_spec,
-)
+from .consistency import disc_violations  # noqa: F401
 from .errors import NegativeLimit, SizeOutOfRange, UnknownFixture, UnknownLaw
 from .session import SessionScript, parse_session, run_session
 
@@ -94,8 +91,8 @@ class LawReport(Record):
 
 
 class LawSpec(Record):
-    """``cases(n, tables)`` gives a law's tuples at size n, its verdicts as
-    lists of booleans in the same order, and the text of a counterexample."""
+    """``cases(n, tables)`` gives a law's rows at size n, pairs (key, verdicts) with the
+    verdicts a list of booleans, and ``describe(key, k)``, the text of the row's k-th tuple."""
     __slots__ = _fields = ("law_id", "expects_counterexample", "cases")
 
 
@@ -125,15 +122,17 @@ class _Tables:
 
 
 def _sweep(arity, rows):
-    """Cases of a law over ``arity`` sets A, B, C: every tuple of set numbers, and
-    ``rows(t)``, the verdicts read from the tables t, one row per first set."""
+    """Cases of a law over ``arity`` sets A, B, C: ``rows(t)``, the verdicts read from the
+    tables t, one row per first set A, keyed by its number; entry k is B = k, or (B, C) =
+    divmod(k, s) over s sets."""
     def cases(n, t):
-        fmt = default_universe(n).format_masks
+        fmt, s = default_universe(n).format_masks, len(t.pairs)
 
-        def describe(sets):
+        def describe(a, k):
+            sets = (a, *divmod(k, s)[3 - arity:])  # B and C from k, as far as arity
             return " ".join(f"{name}={fmt(*t.pairs[i])}" for name, i in zip("ABC", sets))
 
-        return product(range(len(t.pairs)), repeat=arity), rows(t), describe
+        return enumerate(rows(t)), describe
 
     return cases
 
@@ -194,42 +193,41 @@ def _points(n, t):
         px, py = (x if gx else 0, x), (y if gy else 0, y)
         return oplus_masks(*px, *py) == (0, 0) and odot_masks(*px, *py) == (0, x | y)
 
-    def describe(t):
-        i, j, gx, gy = t
+    def describe(pair, k):
+        (i, j), (gx, gy) = pair, grades[k]
         return f"x={u.objects[i]}({grade[gx]}) y={u.objects[j]}({grade[gy]})"
 
-    return ((*o, *g) for o in objects for g in grades), (
-        [holds(1 << i, 1 << j, *g) for g in grades] for i, j in objects), describe
+    return (((i, j), [holds(1 << i, 1 << j, *g) for g in grades]) for i, j in objects), describe
 
 
-def _disc_law(op, flag=None):
-    """Cases of a DISC law: pairs of DISC sets under each labeling of object pairs as
-    none, strong or weak; verdicts ``flag(A op B, spec)``, or DISC."""
+def _disc_law(op, weak_only=False):
+    """Cases of a DISC law: one row per labeling of object pairs as none, strong or weak,
+    keyed by its spec and its DISC sets d, over the pairs (A, B) of d in product order
+    (at most 243² at n = 5); verdicts: A op B is DISC, under the weak pairs alone if
+    ``weak_only``."""
     def cases(n, t):
         u, pairs = default_universe(n), list(combinations(_LETTERS[:n], 2))
         sets, table = enumerate_negsets(u), getattr(t, op)
 
-        def per_spec():
+        def rows():
             for labels in product("nsw", repeat=len(pairs)):  # none, strong or weak per pair
-                sp = make_contradiction_spec(u, *(
-                    [p for p, label in zip(pairs, labels) if label == kind] for kind in "sw"))
+                strong, weak = ([p for p, label in zip(pairs, labels) if label == kind]
+                                for kind in "sw")
+                sp = make_contradiction_spec(u, strong, weak)
                 disc = [is_disc(a, sp) for a in sets]
-                ok = disc if flag is None else [flag(a, sp) for a in sets]
-                yield sp, list(compress(range(len(sets)), disc)), ok
+                judge = make_contradiction_spec(u, (), weak) if weak_only else sp
+                ok = [is_disc(a, judge) for a in sets] if weak_only else disc
+                d = list(compress(range(len(sets)), disc))
+                yield (sp, d), [ok[table[a][b]] for a in d for b in d]
 
-        def describe(t):
-            a, b, sp = t
-            return f"A={sets[a]} B={sets[b]} strong={sorted(sp.strong)} weak={sorted(sp.weak)}"
+        def describe(key, k):
+            sp, d = key
+            a, b = (sets[d[i]] for i in divmod(k, len(d)))
+            return f"A={a} B={b} strong={sorted(sp.strong)} weak={sorted(sp.weak)}"
 
-        left, right = tee(per_spec())
-        return (chain.from_iterable(product(d, d, (sp,)) for sp, d, _ in left),
-                ([ok[table[a][b]] for b in d] for _, d, ok in right for a in d), describe)
+        return rows(), describe
 
     return cases
-
-
-def _no_weak_with_necessity(a, sp):
-    return not any(v.kind == WEAK_WITH_NECESSITY for v in disc_violations(a, sp))
 
 
 def _odot_grow(acc, pairs):  # [∩N, ∪A], as odot_all defines it
@@ -244,8 +242,8 @@ def _oplus_grow(acc, pairs):  # [(∪N) ∩ ∩A, ∩A], as oplus_all defines it
 
 def _fold(op, grow, done=list):
     """Cases of a fold law: families of one to three sets, the left fold through the table
-    against the n-ary form from its definition, one row per prefix, depth first:
-    ``grow(acc, pairs)`` extends the prefix by each set, ``done`` finishes the row."""
+    against the n-ary form from its definition, one row per prefix that entry k completes,
+    depth first: ``grow(acc, pairs)`` extends the prefix by each set, ``done`` ends a row."""
     def cases(n, t):
         u, table, pairs = default_universe(n), getattr(t, op), t.pairs
         sets = range(len(pairs))
@@ -254,15 +252,17 @@ def _fold(op, grow, done=list):
             return list(map(eq, map(pairs.__getitem__, folded), done(accs)))
 
         def rows():
-            yield verdicts(sets, pairs)
-            for a, acc in zip(table, pairs):
-                yield verdicts(a, grow(acc, pairs))
-            for a, acc in zip(table, pairs):
-                for ab, acc_ab in zip(a, grow(acc, pairs)):
-                    yield verdicts(table[ab], grow(acc_ab, pairs))
+            yield (), verdicts(sets, pairs)
+            for a in sets:
+                yield (a,), verdicts(table[a], grow(pairs[a], pairs))
+            for a in sets:
+                for b, ab, acc_ab in zip(sets, table[a], grow(pairs[a], pairs)):
+                    yield (a, b), verdicts(table[ab], grow(acc_ab, pairs))
 
-        tuples = chain.from_iterable(product(sets, repeat=k) for k in (1, 2, 3))
-        return tuples, rows(), lambda family: " ".join(u.format_masks(*pairs[i]) for i in family)
+        def describe(prefix, k):
+            return " ".join(u.format_masks(*pairs[i]) for i in (*prefix, k))
+
+        return rows(), describe
 
     return cases
 
@@ -292,7 +292,7 @@ LAWS: dict[str, LawSpec] = {law: LawSpec(law, expected, cases) for law, expected
     ("fold-agreement-oplus", False, _fold(
         "oplus", _oplus_grow, lambda accs: [(nec & adm, adm) for nec, adm in accs])),
     ("disc-closure-oplus", False, _disc_law("oplus")),
-    ("disc-odot-weak-partial", False, _disc_law("odot", _no_weak_with_necessity)),
+    ("disc-odot-weak-partial", False, _disc_law("odot", weak_only=True)),
 ]}
 
 
@@ -320,21 +320,15 @@ def check_law(law_id: str, n: int = DECIDING_SIZE, *, limit: int = 5,
     start = time.perf_counter()
     if tables is None or len(tables.pairs) != 3 ** n:
         tables = _Tables(n)
-    tuples, rows, describe = law.cases(n, tables)
-    checked, end = 0, object()
-
-    def tally(row):
-        nonlocal checked
+    rows, describe = law.cases(n, tables)
+    checked, total, examples = 0, 0, []
+    for key, row in rows:
         checked += len(row)
-        return row
-
-    # end selects a tuple without a verdict, and is left over when the streams agree
-    wrong = chain(map(not_, chain.from_iterable(map(tally, rows))), [end])
-    violations = compress(tuples, wrong)
-    examples = [describe(t) for t in islice(violations, limit)]
-    total = len(examples) + sum(1 for _ in violations)
-    if next(wrong, None) is not end:
-        raise RuntimeError(f"{law_id}: its tuples and its verdicts differ in number")
+        wrong = row.count(False)  # every verdict is a bool
+        total += wrong
+        if wrong and len(examples) < limit:
+            at = compress(count(), map(not_, row))  # the positions of the violations
+            examples += [describe(key, k) for k in islice(at, limit - len(examples))]
     elapsed = time.perf_counter() - start
     verdict = COUNTEREXAMPLES if total else HOLDS
     return LawReport(law_id, n, checked, verdict, tuple(examples), total, elapsed)

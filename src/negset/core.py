@@ -237,14 +237,8 @@ class NegotiationSet(Record):
     def admissibility(self) -> FiniteSet:
         return FiniteSet(self.universe, self.adm)
 
-    def __eq__(self, other):
-        if other.__class__ is not NegotiationSet:
-            return NotImplemented
-        return (self.nec == other.nec and self.adm == other.adm
-                and (self.universe is other.universe or self.universe == other.universe))
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.nec, self.adm))
+    def _values(self) -> tuple:
+        return self.universe, self.nec, self.adm
 
     def __reduce__(self):
         return NegotiationSet, (self.necessity, self.admissibility)

@@ -64,14 +64,8 @@ def default_universe(n: int) -> Universe:
 
 
 def enumerate_mask_pairs(n: int) -> list[tuple[int, int]]:
-    """All (necessity, admissibility) mask pairs with nec ⊆ adm, deterministic order."""
-    out = []
-    for adm in range(1 << n):
-        subs = [adm]  # the submasks of adm, in decreasing order
-        while subs[-1]:
-            subs.append((subs[-1] - 1) & adm)
-        out.extend((nec, adm) for nec in reversed(subs))
-    return out
+    """The 3^n (necessity, admissibility) mask pairs with nec ⊆ adm, ordered by adm, then nec."""
+    return [(nec, adm) for adm in range(1 << n) for nec in range(adm + 1) if not nec & ~adm]
 
 
 def enumerate_negsets(universe: Universe) -> list[NegotiationSet]:
@@ -98,8 +92,8 @@ class LawSpec(Record):
 
 class _Tables:
     """The sets of size n, numbered in ``enumerate_mask_pairs(n)`` order, and tables built
-    on first read: ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j.
-    At n ≤ 5 a table has at most 243² = 59,049 entries."""
+    on first read: ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j,
+    ``ge`` is ``le`` transposed.  At n ≤ 5 a table has at most 243² = 59,049 entries."""
 
     def __init__(self, n):
         self.pairs, self.full = enumerate_mask_pairs(n), (1 << n) - 1
@@ -117,8 +111,7 @@ class _Tables:
     inter = cached_property(lambda self: self._binary(inter_masks))
     le = cached_property(lambda self: [[not (n & ~m or a & ~b) for m, b in self.pairs]
                                        for n, a in self.pairs])
-    ge = cached_property(lambda self: [[not (m & ~n or b & ~a) for m, b in self.pairs]
-                                       for n, a in self.pairs])
+    ge = cached_property(lambda self: list(map(list, zip(*self.le))))
 
 
 def _sweep(arity, rows):

@@ -59,12 +59,13 @@ from .consistency import (
 )
 from .errors import InputNotDisc, NegsetError, NotDouble, UnknownObject
 
-BINARY_OPS = ("odot", "oplus", "union", "inter", "minus")
+_RELATIONS = ("strong", "weak", "dominance")
+_STATEMENTS = {"universe", "agent", "policy", *_RELATIONS, "let", "eval", "assert_disc", "expect"}
+_MASK_OPS = {"odot": core.odot_masks, "oplus": core.oplus_masks, "union": core.union_masks,
+             "inter": core.inter_masks, "minus": core.difference_masks}
+BINARY_OPS = tuple(_MASK_OPS)
 NARY_OPS = ("odot", "oplus", "union", "inter")
-KEYWORDS = {
-    "universe", "agent", "strong", "weak", "dominance", "policy",
-    "let", "eval", "assert_disc", "expect", "not", *BINARY_OPS,
-}
+KEYWORDS = {*_STATEMENTS, "not", *BINARY_OPS}
 
 
 class ParseError(NegsetError):
@@ -188,8 +189,6 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
 # --- parser ---
 
 _FIXED_POLICIES = {p.name: p for p in (Strict(), ObjectDominance(), FewestNecessities())}
-_RELATIONS = ("strong", "weak", "dominance")
-_STATEMENTS = {"universe", "agent", "policy", *_RELATIONS, "let", "eval", "assert_disc", "expect"}
 
 
 class _Parser:
@@ -650,10 +649,6 @@ def json_masks(quoted: list[str], nec: int, adm: int) -> str:
 
     return (f'{{\n        "necessity": {names(nec)},\n'
             f'        "admissibility": {names(adm)}\n      }}')
-
-
-_MASK_OPS = {"odot": core.odot_masks, "oplus": core.oplus_masks, "union": core.union_masks,
-             "inter": core.inter_masks, "minus": core.difference_masks}
 
 
 class _Evaluator:

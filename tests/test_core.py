@@ -48,6 +48,8 @@ class TestUniverse:
         u = ns.make_universe(["a", "b", "c"])
         assert len(u) == 3
         assert u.index("b") == 1
+        assert "a" in u
+        assert "z" not in u
 
     def test_empty(self):
         with pytest.raises(EmptyUniverse):
@@ -159,6 +161,8 @@ class TestValueContract:
         assert ns.negset_of(ns.make_universe(["a", "b", "d"]), ["a"], ["a", "b"]) != self.a
         assert ns.negset_of(self.u, [], ["a", "b"]) != self.a
         assert self.a != (self.a.nec, self.a.adm)
+        assert self.a.__eq__((self.a.nec, self.a.adm)) is NotImplemented
+        assert hash(self.a) == hash((self.u, 0b1, 0b11))
 
     def test_repr(self):
         universe = "Universe(objects=('a', 'b', 'c'))"

@@ -16,6 +16,7 @@ import json
 import random
 import sys
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -49,11 +50,7 @@ def path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("differential") / "script.ns")
 
 
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), usize=st.sampled_from((8, 12)),
-       n_stmts=st.integers(1, 40), gated=st.booleans())
-def test_cli_matches_reference(path, seed, usize, n_stmts, gated):
-    script, text, _ = workloads.sessions_script(random.Random(seed), usize, n_stmts, gated)
+def assert_cli_matches_reference(path, script, text):
     Path(path).write_text(text, encoding="utf-8")
 
     report = ref.run_script(script)
@@ -67,6 +64,82 @@ def test_cli_matches_reference(path, seed, usize, n_stmts, gated):
     assert run(["check", path]) == (code, ref.check_text(script, entries))
     got, out = run(["check", "--json", path])
     assert (got, json.loads(out)) == (code, ref.check_json(script, entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), usize=st.sampled_from((8, 12)),
+       n_stmts=st.integers(1, 40), gated=st.booleans())
+def test_cli_matches_reference(path, seed, usize, n_stmts, gated):
+    script, text, _ = workloads.sessions_script(random.Random(seed), usize, n_stmts, gated)
+    assert_cli_matches_reference(path, script, text)
+
+
+def small_expr(draw, names, depth=0):
+    kind = draw(st.sampled_from(("name", "name", "not", "bin", "nary"))) if depth < 2 else "name"
+    if kind == "name":
+        return ("name", draw(st.sampled_from(names)))
+    if kind == "not":
+        return ("not", small_expr(draw, names, depth + 1))
+    if kind == "bin":
+        op = draw(st.sampled_from(tuple(ref.BINARY)))
+        return ("bin", op, small_expr(draw, names, depth + 1), small_expr(draw, names, depth + 1))
+    op = draw(st.sampled_from(("odot", "oplus", "union", "inter")))
+    return ("nary", op, [small_expr(draw, names, depth + 1) for _ in range(draw(st.integers(2, 3)))])
+
+
+@st.composite
+def small_scripts(draw):
+    """A script the benchmark generator never draws: 1 to 4 objects whose pairs are
+    split at random into strong, weak and unrelated ones, a dominance chain over
+    some of them, 1 to 4 agents (most made DISC), any of the four policies, and 1 to
+    8 statements."""
+    objects = list("abcd"[:draw(st.integers(1, 4))])
+    pairs = list(combinations(objects, 2))
+    kinds = [draw(st.sampled_from((None, "strong", "weak"))) for _ in pairs]
+    strong = [p for p, k in zip(pairs, kinds) if k == "strong"]
+    weak = [p for p, k in zip(pairs, kinds) if k == "weak"]
+    chain = draw(st.permutations(objects))[:draw(st.integers(0, len(objects)))]
+    dominance = list(combinations(chain, 2))  # a strict order, total on the chain only
+    rel = ref.Relations(ref.Universe(objects), strong, weak, dominance)
+
+    agents = []
+    for i in range(draw(st.integers(1, 4))):
+        grades = [draw(st.sampled_from((0, 1, 2))) for _ in objects]  # out, admissible, necessary
+        a = (frozenset(x for x, g in zip(objects, grades) if g == 2),
+             frozenset(x for x, g in zip(objects, grades) if g))
+        agents.append((f"A{i}", workloads._make_disc(a, rel) if draw(st.integers(0, 3)) else a))
+    names = [n for n, _ in agents]
+    policy = (draw(st.sampled_from(("strict", "dominance", "fewest-necessities", "agent-priority"))),)
+    if policy[0] == "agent-priority":
+        policy += (tuple(draw(st.permutations(names))),)
+
+    script = ref.Script(objects, agents, strong, weak, dominance, policy, [])
+    ev = ref.Evaluator(script, script.rel, {n: (v, n) for n, v in agents})
+    for i in range(draw(st.integers(1, 8))):
+        kind, e = draw(st.sampled_from(("let", "eval", "assert_disc", "expect"))), small_expr(draw, names)
+        try:  # a halting or unbound value is never compared: the run halts first
+            value = ev.eval(e)
+        except (ref.Halt, KeyError):
+            value = None
+        if kind == "let":
+            script.statements.append((kind, f"L{i}", e))
+            names.append(f"L{i}")
+            if value is not None:
+                ev.env[f"L{i}"] = value
+        elif kind == "expect":
+            nec, adm = value[0] if value else (frozenset(), frozenset())
+            if draw(st.integers(0, 4)) == 0:  # a failing expectation now and then
+                nec, adm = (frozenset(), adm) if nec else (adm, adm)
+            script.statements.append((kind, e, (nec, adm)))
+        else:
+            script.statements.append((kind, e))
+    return script
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=small_scripts())
+def test_small_scripts_match_reference(path, script):
+    assert_cli_matches_reference(path, script, workloads.script_text(script))
 
 
 decide_law = cache(ref.decide_law)

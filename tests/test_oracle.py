@@ -51,6 +51,17 @@ class TestEnumeration:
             oracle.enumerate_negsets(ns.make_universe([f"o{i}" for i in range(6)]))
         assert len(oracle.enumerate_negsets(oracle.default_universe(5))) == 3 ** 5
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_mask_pairs_are_numbered_by_admissibility_then_necessity(self, n):
+        pairs = oracle.enumerate_mask_pairs(n)
+        assert len(set(pairs)) == len(pairs) == 3 ** n
+        assert all(nec & ~adm == 0 for nec, adm in pairs)
+        assert pairs == sorted(pairs, key=lambda p: (p[1], p[0]))
+
+    def test_mask_pairs_at_two_objects(self):
+        assert oracle.enumerate_mask_pairs(2) == [
+            (0, 0), (0, 1), (1, 1), (0, 2), (2, 2), (0, 3), (1, 3), (2, 3), (3, 3)]
+
     def test_deterministic_order(self):
         u = oracle.default_universe(3)
         assert oracle.enumerate_negsets(u) == oracle.enumerate_negsets(u)

@@ -9,7 +9,8 @@ import sys
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .consistency import disc_violations, make_contradiction_spec
+from .consistency import disc_violations
+from .consistency import make_contradiction_spec  # noqa: F401  perfbench/tracing.py spans it here
 from .errors import NegsetError, ScriptUnreadable
 from .session import (
     _JSON_BOOL,
@@ -57,10 +58,9 @@ def cmd_eval(path: str, as_json: bool) -> int:
 def cmd_check(path: str, as_json: bool) -> int:
     """Diagnostic mode: evaluate bindings without policy gating, report DISC verdicts."""
     script = _load_script(path)
-    ungated = make_contradiction_spec(script.universe)  # no relations: raw algebra
     entries = []
     all_ok = True
-    for name, value in eval_bindings(script, ungated):
+    for name, value in eval_bindings(script):
         violations = disc_violations(value, script.spec)
         all_ok &= not violations
         entries.append((name, value, violations))

@@ -249,13 +249,11 @@ def resolve_odot(
     if isinstance(policy, ObjectDominance):
         # a pair can lose both members: in a chain y > x > z, x wins (x, z)
         # but loses (x, y)
-        index, beats = u._index, spec.dominance_rows
-        indexed = [(index[x], index[y]) for x, y in pairs]
-        unordered = tuple(p for p, (i, j) in zip(pairs, indexed)
-                          if not (beats[i] >> j | beats[j] >> i) & 1)
+        dominates = spec.dominates
+        unordered = tuple(p for p in pairs if not (dominates(*p) or dominates(*p[::-1])))
         if unordered:
             return Failed("pair not ordered by dominance", unordered)
-        drop = reduce(or_, (1 << j if beats[i] >> j & 1 else 1 << i for i, j in indexed))
+        drop = u.mask_of(y if dominates(x, y) else x for x, y in pairs)
     else:
         if isinstance(policy, AgentPriority):
             if agent_names is None or agent_names[0] is None or agent_names[1] is None:

@@ -182,11 +182,8 @@ class FiniteSet(Record):
     def full(cls, universe: Universe) -> "FiniteSet":
         return cls(universe, universe.full_mask)
 
-    def _check(self, other: "FiniteSet") -> None:
-        _same(self.universe, other.universe, "sets over different universes")
-
     def issubset(self, other: "FiniteSet") -> bool:
-        self._check(other)
+        _same(self.universe, other.universe, "sets over different universes")
         return self.mask & ~other.mask == 0
 
     def __contains__(self, name: str) -> bool:
@@ -323,13 +320,8 @@ def complement(a: NegotiationSet) -> NegotiationSet:
     return _from_masks(u, *complement_masks(u.full_mask, a.nec, a.adm))
 
 
-def _binary(masks_op, a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
-    u = _same(a.universe, b.universe, "family members over different universes")
-    return _from_masks(u, *masks_op(a.nec, a.adm, b.nec, b.adm))
-
-
 def difference(a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
-    return _binary(difference_masks, a, b)
+    return _fold(difference_masks, (a, b))
 
 
 def included(a: NegotiationSet, b: NegotiationSet, mode: InclusionMode = InclusionMode.FULL) -> bool:
@@ -368,11 +360,11 @@ def oplus_all(family: Sequence[NegotiationSet]) -> NegotiationSet:
 
 
 def odot(a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
-    return _binary(odot_masks, a, b)
+    return _fold(odot_masks, (a, b))
 
 
 def oplus(a: NegotiationSet, b: NegotiationSet) -> NegotiationSet:
-    return _binary(oplus_masks, a, b)
+    return _fold(oplus_masks, (a, b))
 
 
 def special(universe: Universe, kind: SpecialKind, name: str | None = None) -> NegotiationSet:

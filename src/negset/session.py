@@ -54,7 +54,7 @@ from .consistency import (
     Strict,
     _build_spec,
     disc_violations,
-    make_contradiction_spec,  # noqa: F401  kept for perfbench/tracing.py, which spans it here
+    make_contradiction_spec,
     resolve_odot,
 )
 from .errors import InputNotDisc, NegsetError, NotDouble, UnknownObject
@@ -702,8 +702,8 @@ class _Evaluator:
         )
         if not outcome.ok:
             raise ResolutionFailed(outcome.reason, outcome.pairs)
-        if outcome.dropped:
-            dropped = " ".join(sorted(outcome.dropped, key=self.universe.index))
+        if outcome.dropped:  # what the minimalization admits and the result does not
+            dropped = " ".join(self.universe.names_of((left[1] | right[1]) & ~outcome.result.adm))
             self.notes.append(f"dropped {{{dropped}}}")
         return outcome.result.nec, outcome.result.adm
 
@@ -729,12 +729,10 @@ def eval_expr(
     return ev.value(ev.run(program))
 
 
-def eval_bindings(
-    script: SessionScript, spec: ContradictionSpec
-) -> list[tuple[str, NegotiationSet]]:
-    """Every agent and ``let`` binding in script order, evaluated under ``spec``
-    with the strict policy by one evaluator."""
-    ev = _Evaluator(spec, Strict(), dict(script.agents))
+def eval_bindings(script: SessionScript) -> list[tuple[str, NegotiationSet]]:
+    """Every agent and ``let`` binding in script order, evaluated ungated (a
+    spec with no relations: the raw algebra) by one evaluator."""
+    ev = _Evaluator(make_contradiction_spec(script.universe), Strict(), dict(script.agents))
     named = list(script.agents)
     for stmt in script.statements:
         if isinstance(stmt, Let):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negset import cli
-from negset.consistency import disc_violations, make_contradiction_spec
+from negset.consistency import disc_violations
 from negset.session import eval_bindings, format_negset, parse_session
 from test_session import binding_script, sparse_and_dense
 
@@ -160,9 +160,8 @@ class TestCheckJson:
     @staticmethod
     def dumped(path):
         script = parse_session(Path(path).read_text(encoding="utf-8"))
-        ungated = make_contradiction_spec(script.universe)
         entries = [(name, value, disc_violations(value, script.spec))
-                   for name, value in eval_bindings(script, ungated)]
+                   for name, value in eval_bindings(script)]
         doc = {
             "universe": list(script.universe.objects),
             "sets": [
@@ -209,7 +208,7 @@ class TestCheckRenderTable:
         path.write_text(binding_script(names, sets), encoding="utf-8")
         script = parse_session(path.read_text(encoding="utf-8"))
         text = "".join(f"{name} = {format_negset(value)}: DISC\n" for name, value
-                       in eval_bindings(script, make_contradiction_spec(script.universe)))
+                       in eval_bindings(script))
         assert run(["check", str(path)]) == (0, text, "")
         assert run(["check", "--json", str(path)]) == (0, TestCheckJson.dumped(path), "")
         return text

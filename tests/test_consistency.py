@@ -541,6 +541,14 @@ def test_resolution_soundness_decided_at_three_objects():
     they share an object, as in a dominance chain y > x > z.  The two
     rankings of ``AgentPriority`` fix either operand as the preferred one,
     so the drop rule ``FewestNecessities`` shares is covered for both.
+
+    Each call is repeated with the operands and their provenance swapped,
+    which decides that gated ``odot`` is commutative.  The minimalization and
+    its violations do not depend on operand order, and every policy picks
+    its preferred operand by agent rank or necessity count, both of which
+    move with the operand.  So the two outcomes could differ only by a drop
+    rule reading an operand's position, which would show on one violating
+    pair, inside three objects as above.
     """
     u = ns.make_universe(["a", "b", "c"])
     pairs = list(itertools.combinations(u.objects, 2))
@@ -575,6 +583,7 @@ def test_resolution_soundness_decided_at_three_objects():
             for spec, policy, preferred in runs:
                 calls += 1
                 outcome = ns.resolve_odot(a, b, spec, policy, ("A", "B"))
+                assert ns.resolve_odot(b, a, spec, policy, ("B", "A")) == outcome
                 if isinstance(policy, FewestNecessities) and fewer:
                     preferred = 0 if fewer < 0 else 1
                 if not outcome.ok:

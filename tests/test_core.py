@@ -120,6 +120,13 @@ class TestConstruction:
         a = ns.make_negset(ns.FiniteSet.empty(u), ns.FiniteSet.empty(u))
         assert len(a.admissibility) == 0
 
+    def test_issubset(self):
+        u, v = ns.make_universe(["a", "b"]), ns.make_universe(["a", "b"])
+        assert ns.FiniteSet.of(u, ["a"]).issubset(ns.FiniteSet.of(v, ["a", "b"]))
+        assert not ns.FiniteSet.of(u, ["a", "b"]).issubset(ns.FiniteSet.of(u, ["b"]))
+        with pytest.raises(UniverseMismatch, match="^sets over different universes$"):
+            ns.FiniteSet.empty(u).issubset(ns.FiniteSet.empty(ns.make_universe(["a"])))
+
     def test_not_double(self):
         u = ns.make_universe(["a"])
         with pytest.raises(NotDouble):
@@ -291,6 +298,17 @@ class TestGeneralizedOps:
 
 
 class TestCompromiseOperators:
+    @pytest.mark.parametrize("op", [ns.odot, ns.oplus, ns.difference], ids=lambda op: op.__name__)
+    def test_operands_share_a_universe(self, op):
+        # over equal universes the result keeps the left operand's universe object
+        u, v = ns.make_universe(["a", "b"]), ns.make_universe(["a", "b"])
+        a, b = ns.negset_of(u, ["a"], ["a", "b"]), ns.negset_of(v, [], ["b"])
+        assert v is not u and op(a, b).universe is u and op(b, a).universe is v
+        other = ns.negset_of(ns.make_universe(["a"]), [], ["a"])
+        for left, right in ((a, other), (other, a)):
+            with pytest.raises(UniverseMismatch, match="^family members over different universes$"):
+                op(left, right)
+
     def test_trip_odot_step(self):
         u = ns.make_universe(list("abcdefghikl"))
         a = ns.negset_of(u, ["a", "d"], ["a", "d", "f", "g", "h"])

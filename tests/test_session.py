@@ -487,6 +487,18 @@ class TestEvaluation:
             "eval odot(C, B, A) = [{} {a}]  # dropped {c}; dropped {b}",
         ]
 
+    def test_note_lists_dropped_objects_in_universe_order(self):
+        # x loses (x, y) and wins (x, z); z loses (x, z): the note follows the
+        # universe's order z x y, not the names' order x z
+        text = (
+            "universe z x y\nagent A = [{} {x}]\nagent B = [{} {y z}]\n"
+            "strong x y\nstrong x z\n"
+            "dominance y > x\ndominance x > z\ndominance y > z\npolicy dominance\n"
+            "eval A odot B\n"
+        )
+        report = run_session(parse_session(text))
+        assert report.to_text() == "eval A odot B = [{} {y}]  # dropped {z x}\n"
+
     def test_assert_disc_failure_is_not_fatal(self):
         report = run_session(parse_session((SESSIONS / "check_demo.ns").read_text()))
         # strict policy gates the odot inside `let`, so this script halts there

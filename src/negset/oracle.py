@@ -10,9 +10,8 @@ preserve equations and Horn inclusions, and any counterexample projects
 onto the at most two objects it involves (Birkhoff 1935; Fitting 1991 for
 the three-valued knowledge order).  A sweep over all 3^2 negotiation sets
 of a two-object universe therefore decides every law.  One object is not
-enough: the point lemmas need two distinct objects.  Sizes up to five
-remain available as a cross-check: there every law ends, ``laws --all``
-in about a minute, most of it in the two DISC laws.
+enough: the point lemmas need two distinct objects.  Sizes up to five,
+where every law ends, remain available as a cross-check.
 A sweep reads operator tables, built with core's mask arithmetic once per
 ``laws`` command, and decides one keyed row of verdicts at a time: per first
 set, per fold prefix, per ordered object pair, or per DISC labeling.
@@ -29,9 +28,9 @@ halt reason it expects: none, or for ``disc-failure`` the strict policy's
 from __future__ import annotations
 
 import time
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, compress, count, islice, permutations, product
-from operator import eq, itemgetter, not_
+from operator import eq, getitem, itemgetter, not_, or_
 
 from .core import (
     NegotiationSet,
@@ -195,28 +194,34 @@ def _points(n, t):
 
 def _disc_law(op, weak_only=False):
     """Cases of a DISC law: one row per labeling of object pairs as none, strong or weak,
-    keyed by its spec and its DISC sets d, over the pairs (A, B) of d in product order
+    keyed by its labels and its DISC sets d, over the pairs (A, B) of d in product order
     (at most 243² at n = 5); verdicts: A op B is DISC, under the weak pairs alone if
-    ``weak_only``."""
+    ``weak_only``.  Each DISC violation is one contradictory pair, so a set is DISC under
+    a labeling iff it is DISC under each labeled pair alone: a labeling's non-DISC sets
+    are the union of its pairs' masks, each found once with ``is_disc``."""
     def cases(n, t):
-        u, pairs = default_universe(n), list(combinations(_LETTERS[:n], 2))
-        sets, table = enumerate_negsets(u), getattr(t, op)
+        u, table, bits = default_universe(n), getattr(t, op), [1 << k for k in range(3 ** n)]
+        sets, pairs = enumerate_negsets(u), list(combinations(range(n), 2))
+
+        def not_disc(*relations):  # bit k: set k is not DISC under these relations
+            spec = make_contradiction_spec(u, *relations)
+            return sum(b for b, a in zip(bits, sets) if not is_disc(a, spec))
+
+        # per pair, the sets it bars as none, strong or weak; the weak judge reads weak only
+        masks = [(0, not_disc([p]), not_disc((), [p])) for p in combinations(u.objects, 2)]
+        judges = [(0, 0, weak) for _, _, weak in masks] if weak_only else masks
 
         def rows():
-            for labels in product("nsw", repeat=len(pairs)):  # none, strong or weak per pair
-                strong, weak = ([p for p, label in zip(pairs, labels) if label == kind]
-                                for kind in "sw")
-                sp = make_contradiction_spec(u, strong, weak)
-                disc = [is_disc(a, sp) for a in sets]
-                judge = make_contradiction_spec(u, (), weak) if weak_only else sp
-                ok = [is_disc(a, judge) for a in sets] if weak_only else disc
-                d = list(compress(range(len(sets)), disc))
-                yield (sp, d), [ok[table[a][b]] for a in d for b in d]
+            for labels in product(range(3), repeat=len(pairs)):  # none, strong or weak
+                bad, judge = (reduce(or_, map(getitem, m, labels), 0) for m in (masks, judges))
+                d = [k for k, b in enumerate(bits) if not bad & b]
+                ok = [not judge & b for b in bits]
+                yield (labels, d), [ok[table[a][b]] for a in d for b in d]
 
         def describe(key, k):
-            sp, d = key
-            a, b = (sets[d[i]] for i in divmod(k, len(d)))
-            return f"A={a} B={b} strong={sorted(sp.strong)} weak={sorted(sp.weak)}"
+            (labels, d), (a, b) = key, divmod(k, len(key[1]))
+            strong, weak = ([p for p, x in zip(pairs, labels) if x == kind] for kind in (1, 2))
+            return f"A={sets[d[a]]} B={sets[d[b]]} strong={strong} weak={weak}"
 
         return rows(), describe
 

@@ -125,17 +125,63 @@ class TestCheckLaw:
 
     def test_weak_pairs_alone_decide_weak_with_necessity(self):
         # the verdict of disc-odot-weak-partial: DISC under a labeling's weak
-        # pairs alone is having no weak-with-necessity violation under it all
-        u = oracle.default_universe(3)
-        pairs = list(combinations("abc", 2))
-        for labels in product("nsw", repeat=len(pairs)):
-            strong, weak = ([p for p, label in zip(pairs, labels) if label == kind]
-                            for kind in "sw")
-            spec = ns.make_contradiction_spec(u, strong, weak)
-            weak_only = ns.make_contradiction_spec(u, (), weak)
-            for a in oracle.enumerate_negsets(u):
-                kinds = {v.kind for v in ns.disc_violations(a, spec)}
-                assert ns.is_disc(a, weak_only) is (WEAK_WITH_NECESSITY not in kinds)
+        # pairs alone is having no weak-with-necessity violation under it all;
+        # and the DISC sets that both DISC laws read from masks found per pair:
+        # DISC under a labeling is DISC under each labeled pair alone
+        for n in (3, 4):
+            u = oracle.default_universe(n)
+            sets, pairs = oracle.enumerate_negsets(u), list(combinations(u.objects, 2))
+            alone = {(p, kind): [ns.is_disc(a, ns.make_contradiction_spec(
+                u, **{f"{kind}_pairs": [p]})) for a in sets]
+                for p in pairs for kind in ("strong", "weak")}
+            for labels in product((None, "strong", "weak"), repeat=len(pairs)):
+                strong, weak = ([p for p, label in zip(pairs, labels) if label == kind]
+                                for kind in ("strong", "weak"))
+                spec = ns.make_contradiction_spec(u, strong, weak)
+                weak_only = ns.make_contradiction_spec(u, (), weak)
+                per_pair = [alone[p, label] for p, label in zip(pairs, labels) if label]
+                for a, *each in zip(sets, *per_pair):
+                    kinds = {v.kind for v in ns.disc_violations(a, spec)}
+                    assert ns.is_disc(a, weak_only) is (WEAK_WITH_NECESSITY not in kinds)
+                    assert ns.is_disc(a, spec) is (not kinds) is all(each)
+
+    def test_disc_closure_fails_on_a_wrong_oplus(self):
+        t = oracle._Tables(2)
+        t.oplus = t.odot
+        report = oracle.check_law("disc-closure-oplus", 2, tables=t, limit=3)
+        assert (report.checked, report.violation_count) == (142, 8)
+        assert report.counterexamples[0] == "A=[{} {a}] B=[{} {b}] strong=[(0, 1)] weak=[]"
+
+    def test_disc_weak_judge_ignores_strong_labels(self):
+        # every odot is [{a b} {a b}], which any labeled pair bars: the weak
+        # labeling's 36 pairs fail; a judge that read strong labels would also
+        # fail the strong labeling's 25, 61 in all
+        t = oracle._Tables(2)
+        top = t._number[(3, 3)]
+        t.odot = [[top] * len(t.pairs) for _ in t.pairs]
+        report = oracle.check_law("disc-odot-weak-partial", 2, tables=t, limit=3)
+        assert (report.checked, report.violation_count) == (142, 36)
+        assert report.counterexamples[0] == "A=[{} {}] B=[{} {}] strong=[] weak=[(0, 1)]"
+
+    @pytest.mark.parametrize("n, violations", [(2, 8), (5, 80)])
+    def test_point_lemmas_sweep_two_objects_per_row(self, n, violations, monkeypatch):
+        # odot right whenever an operand is [∅ ∅], wrong on two non-empty ones:
+        # every tuple must hold two non-empty points
+        def odot_on_empty(nec, adm, nec2, adm2):
+            return odot_masks(nec, adm, nec2, adm2) if not (adm and adm2) else (0, 0)
+
+        monkeypatch.setattr(oracle, "odot_masks", odot_on_empty)
+        report = oracle.check_law("point-lemmas", n, limit=0)
+        assert report.checked == report.violation_count == violations
+
+    def test_identity_lemmas_need_both_operators(self, monkeypatch):
+        # oplus with [∅ ∅] gives the other operand: only [∅ ∅] itself holds
+        def oplus_keeps(nec, adm, nec2, adm2):
+            return (nec, adm) if (nec2, adm2) == (0, 0) else oplus_masks(nec, adm, nec2, adm2)
+
+        monkeypatch.setattr(oracle, "oplus_masks", oplus_keeps)
+        report = oracle.check_law("identity-lemmas", 2, limit=0)
+        assert (report.checked, report.violation_count) == (9, 8)
 
     def test_size_over_old_cap_accepted(self):
         assert oracle.check_law("idempotence-odot", 5).verdict == oracle.HOLDS

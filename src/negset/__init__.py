@@ -1,9 +1,10 @@
-"""Negotiation-set algebra: double sets with compromise operators,
-consistency over contradiction relations, a session DSL, and an
-exhaustive law oracle.
+"""Negotiation-set algebra: double sets with compromise operators, consistency over
+contradiction relations, a session DSL, and an exhaustive law oracle.
 
-The law oracle, ``negset.oracle``, and the names re-exported from it are
-loaded on first use."""
+``import negset`` loads the algebra only: ``core``, ``consistency`` and ``errors``.
+The session DSL, ``negset.session``, and the law oracle, ``negset.oracle``, load
+on first use of the module or of a name re-exported from it: ``negset eval`` and
+``negset check`` load the DSL, ``negset laws`` and ``negset fixtures`` load both."""
 
 from .core import (
     FiniteSet,
@@ -39,26 +40,23 @@ from .consistency import (
     make_contradiction_spec,
     resolve_odot,
 )
-from .session import (
-    SessionReport,
-    SessionScript,
-    eval_expr,
-    format_negset,
-    parse_session,
-    print_session,
-    run_session,
-)
 
-_ORACLE_NAMES = ("check_law", "enumerate_negsets", "fixture_ids", "law_ids", "verify_fixture")
+_LAZY = {  # public name -> the submodule that defines it, imported on first use
+    **dict.fromkeys(("session", "SessionReport", "SessionScript", "eval_expr", "format_negset",
+                     "parse_session", "print_session", "run_session"), "session"),
+    **dict.fromkeys(("oracle", "check_law", "enumerate_negsets", "fixture_ids", "law_ids",
+                     "verify_fixture"), "oracle"),
+}
 
 
 def __getattr__(name: str):
-    if name != "oracle" and name not in _ORACLE_NAMES:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module  # "from . import oracle" would ask this hook again
+    from importlib import import_module  # "from . import session" would ask this hook again
 
-    oracle = import_module(".oracle", __name__)
-    return oracle if name == "oracle" else getattr(oracle, name)
+    module = import_module("." + _LAZY[name], __name__)
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value
 
 
 __all__ = [

@@ -225,6 +225,8 @@ def resolve_odot(
     whose members are each admitted by exactly one operand and are not
     necessary, so dropping one member of every pair leaves the result in
     DISC without a second scan (decided at three objects in the tests).
+    ``agent-priority`` prefers the operand whose agent ranks first, and the
+    right operand when both carry the same agent name.
     """
     if not isinstance(policy, ResolutionPolicy):
         raise PolicyError(f"unknown policy: {policy!r}")

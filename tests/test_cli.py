@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -388,6 +389,13 @@ class TestOracleJson:
             listed[limit] = report["counterexamples"]
             assert isinstance(report["elapsed"], float)
         assert listed["0"] == [] and 0 < len(listed["50"]) <= 50
+
+    def test_elapsed_is_within_the_wall_time_of_the_command(self):
+        start = time.perf_counter()
+        _, out, _ = run(["laws", "--all", "--json", "--size", "3"])
+        wall = time.perf_counter() - start
+        elapsed = [report["elapsed"] for report in json.loads(out)["laws"]]
+        assert min(elapsed) >= 0 and sum(elapsed) <= wall  # the sweeps run one after another
 
 
 class TestDeepChain:

@@ -286,6 +286,16 @@ class TestResolveOdot:
         assert isinstance(outcome, Resolved)
         assert outcome.result == ns.negset_of(u, [], ["a"])
 
+    def test_agent_priority_prefers_the_right_operand_of_one_agent(self):
+        # neither operand's agent ranks first, so the right operand keeps its choice
+        u = u2()
+        spec = ns.make_contradiction_spec(u, strong_pairs=[("a", "b")])
+        a = ns.negset_of(u, ["a"], ["a"])
+        b = ns.negset_of(u, ["b"], ["b"])
+        for left, right, kept, dropped in ((a, b, "b", "a"), (b, a, "a", "b")):
+            outcome = ns.resolve_odot(left, right, spec, AgentPriority(("A",)), ("A", "A"))
+            assert outcome == Resolved(ns.negset_of(u, [], [kept]), frozenset({dropped}))
+
     def test_agent_priority_without_names_is_ambiguous(self):
         u = u2()
         spec = ns.make_contradiction_spec(u, strong_pairs=[("a", "b")])

@@ -1,6 +1,6 @@
 """What ``import negset`` binds and loads: the public names stay fixed, and
-the law oracle, the dataclass machinery and the json package are left out
-until used."""
+the session DSL, the law oracle, the dataclass machinery and the json
+package are left out until used."""
 
 import os
 import subprocess
@@ -56,6 +56,35 @@ def test_import_leaves_the_oracle_and_dataclasses_unloaded():
     done = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == ["[]", "idempotence-odot True"]
+
+
+LAZY_PROBE = """
+import sys
+import negset
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("negset"))
+print(loaded(), "parse_session" in vars(negset))
+negset.parse_session
+print(loaded(), "parse_session" in vars(negset), negset.session is sys.modules["negset.session"])
+negset.check_law
+print("check_law" in vars(negset), negset.check_law is sys.modules["negset.oracle"].check_law)
+"""
+
+CLI_PROBE = """
+import sys
+import negset.cli
+print("negset.session" in sys.modules, "negset.oracle" in sys.modules)
+"""
+
+
+def test_import_loads_the_algebra_only():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    lazy, cli = (subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, timeout=60, check=True).stdout.splitlines()
+                 for probe in (LAZY_PROBE, CLI_PROBE))
+    algebra = "'negset', 'negset.consistency', 'negset.core', 'negset.errors'"
+    assert lazy == [f"[{algebra}] False", f"[{algebra}, 'negset.session'] True True",
+                    "True True"]
+    assert cli == ["True False"]
 
 
 JSON_PROBE = """

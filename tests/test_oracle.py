@@ -1,5 +1,6 @@
 import contextlib
 import io
+import time
 import tracemalloc
 from functools import reduce
 from itertools import combinations, product
@@ -182,6 +183,25 @@ class TestCheckLaw:
         monkeypatch.setattr(oracle, "oplus_masks", oplus_keeps)
         report = oracle.check_law("identity-lemmas", 2, limit=0)
         assert (report.checked, report.violation_count) == (9, 8)
+
+    @pytest.mark.parametrize("law, table, value, violations", [
+        ("bounds-upper", "odot", (3, 3), 171),   # A1 odot A2 = [U U], not within A1 ∪ A2
+        ("bounds-upper", "union", (3, 3), 115),  # A1 ∪ A2 = [U U], not within most B
+        ("bounds-lower", "oplus", (0, 0), 171),  # A1 oplus A2 = [∅ ∅], not above A1 ∩ A2
+        ("bounds-lower", "inter", (0, 0), 115),  # A1 ∩ A2 = [∅ ∅], not above most B
+    ])
+    def test_bounds_laws_need_both_inclusions(self, law, table, value, violations):
+        # each corruption breaks one inclusion of op(A1, A2) ⊑ bound(A1, A2) ⊑ B and
+        # keeps the other, so a law that accepted either inclusion alone would hold
+        t = oracle._Tables(2)
+        setattr(t, table, [[t._number[value]] * len(t.pairs) for _ in t.pairs])
+        report = oracle.check_law(law, 2, tables=t, limit=0)
+        assert (report.checked, report.violation_count) == (729, violations)
+
+    def test_elapsed_is_within_the_wall_time_of_the_call(self):
+        start = time.perf_counter()
+        report = oracle.check_law("associativity-odot", 3)
+        assert 0 <= report.elapsed <= time.perf_counter() - start
 
     def test_size_over_old_cap_accepted(self):
         assert oracle.check_law("idempotence-odot", 5).verdict == oracle.HOLDS

@@ -1,10 +1,11 @@
 """Negotiation-set algebra: double sets with compromise operators, consistency over
 contradiction relations, a session DSL, and an exhaustive law oracle.
 
-``import negset`` loads the algebra only: ``core``, ``consistency`` and ``errors``.
-The session DSL, ``negset.session``, and the law oracle, ``negset.oracle``, load
-on first use of the module or of a name re-exported from it: ``negset eval`` and
-``negset check`` load the DSL, ``negset laws`` and ``negset fixtures`` load both."""
+``import negset`` loads the algebra only: ``core`` and ``errors``.  Consistency,
+``negset.consistency``, the session DSL, ``negset.session``, and the law oracle,
+``negset.oracle``, load on first use of the module or of a name re-exported from
+it: ``negset eval`` and ``negset check`` load consistency and the DSL, ``negset
+laws`` and ``negset fixtures`` load all three."""
 
 from .core import (
     FiniteSet,
@@ -26,22 +27,12 @@ from .core import (
     special,
     union_all,
 )
-from .consistency import (
-    AgentPriority,
-    ContradictionSpec,
-    DiscViolation,
-    Failed,
-    FewestNecessities,
-    ObjectDominance,
-    Resolved,
-    Strict,
-    disc_violations,
-    is_disc,
-    make_contradiction_spec,
-    resolve_odot,
-)
 
 _LAZY = {  # public name -> the submodule that defines it, imported on first use
+    **dict.fromkeys(("consistency", "AgentPriority", "ContradictionSpec", "DiscViolation",
+                     "Failed", "FewestNecessities", "ObjectDominance", "Resolved", "Strict",
+                     "disc_violations", "is_disc", "make_contradiction_spec", "resolve_odot"),
+                    "consistency"),
     **dict.fromkeys(("session", "SessionReport", "SessionScript", "eval_expr", "format_negset",
                      "parse_session", "print_session", "run_session"), "session"),
     **dict.fromkeys(("oracle", "check_law", "enumerate_negsets", "fixture_ids", "law_ids",

@@ -187,7 +187,7 @@ class FiniteSet(Record):
         return self.mask & ~other.mask == 0
 
     def __contains__(self, name: str) -> bool:
-        return bool(self.mask >> self.universe.index(name) & 1)
+        return name in self.universe and bool(self.mask >> self.universe.index(name) & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -97,6 +97,12 @@ class TestUniverse:
         with pytest.raises(UnknownObject, match="^object not in universe: 'zz'$"):
             ns.make_universe(["a", "b"]).index("zz")
 
+    def test_membership_of_a_name_outside_the_universe_is_false(self):
+        u = ns.make_universe(["a", "b"])
+        s = ns.FiniteSet.of(u, ["a"])
+        assert ("a" in s, "b" in s, "z" in s) == (True, False, False)
+        assert ("z" in u, "z" in ns.FiniteSet.full(u)) == (False, False)
+
 
 class TestIterBits:
     @given(st.one_of(

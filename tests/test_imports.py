@@ -1,5 +1,6 @@
-"""What ``import negset`` binds and loads: the public names stay fixed, and
-the session DSL, the law oracle, the dataclass machinery and the json
+"""What ``import negset`` binds and loads: the public names stay fixed, and a
+bare import loads ``core`` and ``errors`` only.  Consistency, the session DSL
+and the law oracle load on first use; the dataclass machinery and the json
 package are left out until used."""
 
 import os
@@ -62,29 +63,42 @@ LAZY_PROBE = """
 import sys
 import negset
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("negset"))
-print(loaded(), "parse_session" in vars(negset))
+print(loaded(), "is_disc" in vars(negset))
+negset.is_disc
+print(loaded(), "is_disc" in vars(negset), negset.consistency is sys.modules["negset.consistency"])
 negset.parse_session
 print(loaded(), "parse_session" in vars(negset), negset.session is sys.modules["negset.session"])
 negset.check_law
 print("check_law" in vars(negset), negset.check_law is sys.modules["negset.oracle"].check_law)
 """
 
+MODULE_PROBE = """
+import sys
+import negset
+print(negset.consistency is sys.modules["negset.consistency"], "consistency" in vars(negset))
+"""
+
 CLI_PROBE = """
 import sys
 import negset.cli
-print("negset.session" in sys.modules, "negset.oracle" in sys.modules)
+print([m in sys.modules for m in ("negset.consistency", "negset.session", "negset.oracle")])
 """
 
 
 def test_import_loads_the_algebra_only():
     env = {**os.environ, "PYTHONPATH": SRC}
-    lazy, cli = (subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                text=True, timeout=60, check=True).stdout.splitlines()
-                 for probe in (LAZY_PROBE, CLI_PROBE))
-    algebra = "'negset', 'negset.consistency', 'negset.core', 'negset.errors'"
-    assert lazy == [f"[{algebra}] False", f"[{algebra}, 'negset.session'] True True",
+    lazy, module, cli = (subprocess.run([sys.executable, "-c", probe], env=env,
+                                        capture_output=True, text=True, timeout=60,
+                                        check=True).stdout.splitlines()
+                         for probe in (LAZY_PROBE, MODULE_PROBE, CLI_PROBE))
+    algebra = "'negset', 'negset.core', 'negset.errors'"
+    assert lazy == [f"[{algebra}] False",
+                    "['negset', 'negset.consistency', 'negset.core', 'negset.errors'] True True",
+                    "['negset', 'negset.consistency', 'negset.core', 'negset.errors', "
+                    "'negset.session'] True True",
                     "True True"]
-    assert cli == ["True False"]
+    assert module == ["True True"]
+    assert cli == ["[True, True, False]"]
 
 
 JSON_PROBE = """

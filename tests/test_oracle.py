@@ -15,6 +15,8 @@ from negset.errors import (
     NegativeLimit, NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw)
 from refimpl import as_pair, ref_complement, ref_odot, ref_oplus
 
+A, B, E, U = (0, 1), (0, 2), (0, 0), (3, 3)  # [{} {a}], [{} {b}], [∅ ∅] and [U U] at n = 2
+
 
 class TestEnumeration:
     def test_size_one(self):
@@ -197,6 +199,37 @@ class TestCheckLaw:
         setattr(t, table, [[t._number[value]] * len(t.pairs) for _ in t.pairs])
         report = oracle.check_law(law, 2, tables=t, limit=0)
         assert (report.checked, report.violation_count) == (729, violations)
+
+    @pytest.mark.parametrize("law, target, at, value, violations", [
+        ("commutativity-odot", "odot", (A, B), U, 2),
+        ("commutativity-oplus", "oplus", (A, B), U, 2),
+        ("associativity-odot", "odot", (A, B), U, 20),
+        ("associativity-oplus", "oplus", (A, B), U, 14),
+        ("absorption-oplus-odot", "odot", (A, B), U, 1),
+        ("demorgan-weak-1", "complement", (E,), E, 8),
+        ("demorgan-weak-2", "odot", (E, E), U, 1),
+        ("demorgan-weak-3", "oplus", (E, E), U, 1),
+        ("demorgan-weak-4", "complement", (A,), E, 4),
+        ("idempotence-odot", "odot_masks", A, U, 1),
+        ("idempotence-oplus", "oplus_masks", A, U, 1),
+        ("complement-involution", "complement_masks", A, U, 2),  # at A and at its complement
+    ])
+    def test_each_holding_law_fails_on_one_wrong_value(self, law, target, at, value,
+                                                       violations, monkeypatch):
+        # one table entry, or a mask operator on one operand set, is ``value``: the
+        # law's sweep must see it, so a sweep that could not fail would fail here
+        t = oracle._Tables(2)
+        if target.endswith("_masks"):  # the one-set laws call the operator itself
+            real = getattr(oracle, target)
+            monkeypatch.setattr(oracle, target,
+                                lambda *args: value if args[-2:] == at else real(*args))
+        else:
+            *row, k = map(t._number.__getitem__, at)
+            table = [list(r) for r in getattr(t, target)] if row else list(t.complement)
+            (table[row[0]] if row else table)[k] = t._number[value]
+            setattr(t, target, table)
+        report = oracle.check_law(law, 2, tables=t, limit=0)
+        assert report.violation_count == violations
 
     def test_elapsed_is_within_the_wall_time_of_the_call(self):
         start = time.perf_counter()

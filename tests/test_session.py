@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tracemalloc
@@ -704,6 +705,54 @@ class TestEvaluatorAgreesWithAlgebra:
             (again,) = parse_session(f"{self.BASE}eval {print_expr(stmt.expr)}\n").statements
             assert again.expr == stmt.expr, text
             assert ns.eval_expr(stmt.expr, env, spec) == value, text
+
+
+def test_gated_odot_is_associative_under_strict_at_three_objects():
+    """``(A odot B) odot C`` and ``A odot (B odot C)``, as the session
+    evaluator runs them under ``strict``, give the same value or both fail,
+    for every DISC triple over ``a b c`` under each of the 27 strong/weak
+    labelings of its three pairs.
+
+    Under ``strict`` a step fails when its minimalization admits both
+    members of a strong pair, and otherwise is the ungated ``odot``, which
+    is associative.  Admissibilities join, so every step of either grouping
+    admits a subset of what ``A odot B odot C`` admits, and the last step of
+    each admits all of it.  A grouping therefore fails exactly when the
+    union of the three admissibilities holds a strong pair.  Whether one
+    pair is violated depends on its two objects alone, so a counterexample
+    would show on one pair; three objects also let two pairs share an
+    object, which is where the groupings can fail on different pairs: the
+    first step to fail names only its own pairs.
+    """
+    u = ns.make_universe(["a", "b", "c"])
+    pairs = [("a", "b"), ("a", "c"), ("b", "c")]
+    sets = [ns.NegotiationSet(ns.FiniteSet(u, nec), ns.FiniteSet(u, adm))
+            for adm in range(8) for nec in range(8) if nec & ~adm == 0]
+    left, right = (stmt.expr for stmt in parse_session(
+        "universe a b c\nagent A = [{} {}]\nagent B = [{} {}]\nagent C = [{} {}]\n"
+        "eval (A odot B) odot C\neval A odot (B odot C)\n").statements)
+
+    def outcome(program, env, spec):
+        try:
+            return ns.eval_expr(program, env, spec, Strict())
+        except session.ResolutionFailed as exc:
+            return exc.pairs
+
+    cases = other_pairs = 0
+    for labels in itertools.product(("none", "strong", "weak"), repeat=3):
+        strong = [p for p, label in zip(pairs, labels) if label == "strong"]
+        weak = [p for p, label in zip(pairs, labels) if label == "weak"]
+        spec = ns.make_contradiction_spec(u, strong, weak)
+        disc = [s for s in sets if ns.is_disc(s, spec)]
+        for a, b, c in itertools.product(disc, repeat=3):
+            env = {"A": a, "B": b, "C": c}
+            one, other = outcome(left, env, spec), outcome(right, env, spec)
+            cases += 1
+            if isinstance(one, tuple) and isinstance(other, tuple):
+                other_pairs += one != other
+            else:
+                assert one == other, (labels, a, b, c)
+    assert (cases, other_pairs) == (75_294, 816)
 
 
 class TestDeepChains:

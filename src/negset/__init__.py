@@ -50,14 +50,5 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "AgentPriority", "ContradictionSpec", "DiscViolation", "Failed", "FewestNecessities",
-    "FiniteSet", "InclusionMode", "NegotiationSet", "ObjectDominance", "Resolved",
-    "SessionReport", "SessionScript", "SpecialKind", "Strict", "Universe",
-    "check_law", "complement", "consistency", "core", "difference", "disc_violations",
-    "enumerate_negsets", "errors", "eval_expr", "fixture_ids", "format_negset", "included",
-    "inter_all", "is_disc", "law_ids", "make_contradiction_spec", "make_negset",
-    "make_universe", "negset_of", "odot", "odot_all", "oplus", "oplus_all", "oracle",
-    "parse_session", "print_session", "resolve_odot", "run_session", "session", "special",
-    "union_all", "verify_fixture",
-]
+# each public name once: core's names, core and errors as bound above, and _LAZY's
+__all__ = sorted([*(name for name in globals() if name[0] != "_"), *_LAZY])

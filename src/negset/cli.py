@@ -1,7 +1,5 @@
 """Command-line entry point: session evaluation, DISC checking, law sweeps."""
 
-from __future__ import annotations
-
 import argparse
 import functools
 import os
@@ -94,7 +92,7 @@ def _check_json(script: SessionScript, entries, all_ok: bool) -> str:
             f'  "sets": {json_array(sets, "    ")},\n  "ok": {_JSON_BOOL[all_ok]}\n}}\n')
 
 
-def _law_line(report: oracle.LawReport) -> str:
+def _law_line(report: "oracle.LawReport") -> str:
     status = "as expected" if report.matches_expected else "UNEXPECTED"
     line = (
         f"{report.law} n={report.size}: {report.verdict} "
@@ -106,7 +104,7 @@ def _law_line(report: oracle.LawReport) -> str:
     return line
 
 
-def _law_object(report: oracle.LawReport) -> str:
+def _law_object(report: "oracle.LawReport") -> str:
     return (
         f'{{\n      "law": {_quote(report.law)},\n      "size": {report.size},\n'
         f'      "checked": {report.checked},\n      "verdict": {_quote(report.verdict)},\n'
@@ -117,13 +115,13 @@ def _law_object(report: oracle.LawReport) -> str:
     )
 
 
-def _fixture_line(result: oracle.FixtureResult) -> str:
+def _fixture_line(result: "oracle.FixtureResult") -> str:
     verdict = "pass" if result.passed else "FAIL"
     note = f"  # {result.note}" if result.note else ""
     return f"fixture {result.fixture_id}: {verdict}{note}"
 
 
-def _fixture_object(result: oracle.FixtureResult) -> str:
+def _fixture_object(result: "oracle.FixtureResult") -> str:
     return (f'{{\n      "fixture": {_quote(result.fixture_id)},\n'
             f'      "passed": {_JSON_BOOL[result.passed]},\n'
             f'      "note": {_quote(result.note)}\n    }}')

@@ -7,8 +7,6 @@ range.  Compromise by minimalization can leave DISC; the resolution
 policies here decide what happens then.
 """
 
-from __future__ import annotations
-
 from functools import reduce
 from itertools import chain, compress, count
 from operator import or_

@@ -6,8 +6,6 @@ is stored as a bitmask indexed by declaration order, so every operation is
 a couple of integer operations and all output is deterministic.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from itertools import compress, count
 from typing import Iterable, Iterator, Sequence

@@ -25,8 +25,6 @@ halt reason it expects: none, or for ``disc-failure`` the strict policy's
 ``resolution failed: strong conflict [(a, b)]`` at its last statement.
 """
 
-from __future__ import annotations
-
 import time
 from functools import cached_property, reduce
 from itertools import combinations, compress, count, islice, permutations, product

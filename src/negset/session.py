@@ -22,8 +22,6 @@ one precedence level and associate to the left; ``not`` is prefix
 complement; ``odot(A, B, C)`` etc. are the n-ary forms.
 """
 
-from __future__ import annotations
-
 import re
 from functools import cache, partial
 from itertools import chain, islice

@@ -71,6 +71,8 @@ CASES = [
      "line 4: unknown name 'Z'"),
     ("first-unknown-name-wins", U + "eval odot(A, Q) union (not Z)\n", "line 4: unknown name 'Q'"),
     ("duplicate-let", U + "let X = A\nlet X = B\n", "line 5: duplicate name 'X'"),
+    ("line-after-blank-lines", "universe a\n\n  \n# note\nagent A = [{} {}]\nlet A = A\n",
+     "line 6: duplicate name 'A'"),
     ("duplicate-beats-unknown-name", U + "let A = Z\n", "line 4: duplicate name 'A'"),
     ("keyword-binding", U + "let not = A\n", "line 4: keyword 'not' cannot be bound"),
     ("keyword-agent", "universe a\nagent odot = [{} {}]\n", "line 2: keyword 'odot' cannot be bound"),

@@ -101,6 +101,24 @@ def test_import_loads_the_algebra_only():
     assert cli == ["[True, True, False]"]
 
 
+FUTURE_PROBE = """
+import sys
+for module in ("negset", "negset.cli", "negset.oracle"):
+    __import__(module)
+    print(module, "__future__" in sys.modules)
+"""
+
+
+def test_no_module_loads_the_future_import():
+    """Annotations are evaluated at definition, so neither the library, the
+    CLI nor the oracle loads ``__future__``; ``-S`` keeps site's imports out."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-S", "-c", FUTURE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == [
+        "negset False", "negset.cli False", "negset.oracle False"]
+
+
 JSON_PROBE = """
 import sys
 import negset

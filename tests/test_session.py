@@ -707,6 +707,39 @@ class TestEvaluatorAgreesWithAlgebra:
             assert ns.eval_expr(stmt.expr, env, spec) == value, text
 
 
+ABC = ns.make_universe(["a", "b", "c"])
+GROUPINGS = tuple(stmt.expr for stmt in parse_session(
+    "universe a b c\nagent A = [{} {}]\nagent B = [{} {}]\nagent C = [{} {}]\n"
+    "eval (A odot B) odot C\neval A odot (B odot C)\n").statements)
+
+
+def disc_triples(dominance=()):
+    """Each of the 27 labelings of the pairs of ``a b c`` as strong, weak or
+    none, strong labels first, with its spec, which also holds the
+    ``dominance`` pairs, and its DISC triples as environments of ``A``, ``B``
+    and ``C``."""
+    pairs = [("a", "b"), ("a", "c"), ("b", "c")]
+    sets = [ns.NegotiationSet(ns.FiniteSet(ABC, nec), ns.FiniteSet(ABC, adm))
+            for adm in range(8) for nec in range(8) if nec & ~adm == 0]
+    for labels in itertools.product(("strong", "weak", "none"), repeat=3):
+        strong = [p for p, label in zip(pairs, labels) if label == "strong"]
+        weak = [p for p, label in zip(pairs, labels) if label == "weak"]
+        spec = ns.make_contradiction_spec(ABC, strong, weak, dominance)
+        disc = [s for s in sets if ns.is_disc(s, spec)]
+        yield labels, spec, (dict(zip("ABC", t)) for t in itertools.product(disc, repeat=3))
+
+
+def groupings(env, spec, policy):
+    """The outcome of each grouping as the session evaluator runs it: its
+    value, or the pairs that its failing step names."""
+    def outcome(program):
+        try:
+            return ns.eval_expr(program, env, spec, policy)
+        except session.ResolutionFailed as exc:
+            return exc.pairs
+    return [outcome(program) for program in GROUPINGS]
+
+
 def test_gated_odot_is_associative_under_strict_at_three_objects():
     """``(A odot B) odot C`` and ``A odot (B odot C)``, as the session
     evaluator runs them under ``strict``, give the same value or both fail,
@@ -724,35 +757,40 @@ def test_gated_odot_is_associative_under_strict_at_three_objects():
     object, which is where the groupings can fail on different pairs: the
     first step to fail names only its own pairs.
     """
-    u = ns.make_universe(["a", "b", "c"])
-    pairs = [("a", "b"), ("a", "c"), ("b", "c")]
-    sets = [ns.NegotiationSet(ns.FiniteSet(u, nec), ns.FiniteSet(u, adm))
-            for adm in range(8) for nec in range(8) if nec & ~adm == 0]
-    left, right = (stmt.expr for stmt in parse_session(
-        "universe a b c\nagent A = [{} {}]\nagent B = [{} {}]\nagent C = [{} {}]\n"
-        "eval (A odot B) odot C\neval A odot (B odot C)\n").statements)
-
-    def outcome(program, env, spec):
-        try:
-            return ns.eval_expr(program, env, spec, Strict())
-        except session.ResolutionFailed as exc:
-            return exc.pairs
-
     cases = other_pairs = 0
-    for labels in itertools.product(("none", "strong", "weak"), repeat=3):
-        strong = [p for p, label in zip(pairs, labels) if label == "strong"]
-        weak = [p for p, label in zip(pairs, labels) if label == "weak"]
-        spec = ns.make_contradiction_spec(u, strong, weak)
-        disc = [s for s in sets if ns.is_disc(s, spec)]
-        for a, b, c in itertools.product(disc, repeat=3):
-            env = {"A": a, "B": b, "C": c}
-            one, other = outcome(left, env, spec), outcome(right, env, spec)
+    for labels, spec, envs in disc_triples():
+        for env in envs:
+            one, other = groupings(env, spec, Strict())
             cases += 1
             if isinstance(one, tuple) and isinstance(other, tuple):
                 other_pairs += one != other
             else:
-                assert one == other, (labels, a, b, c)
+                assert one == other, (labels, env)
     assert (cases, other_pairs) == (75_294, 816)
+
+
+ORDERS = ["".join(order) for order in itertools.permutations("abc")]
+NON_STRICT = {  # dominance over an order of a b c, ranking of A B C, or neither
+    **{f"dominance-{o}": (ObjectDominance(), tuple(itertools.combinations(o, 2))) for o in ORDERS},
+    **{f"agent-priority-{o.upper()}": (AgentPriority(tuple(o.upper())), ()) for o in ORDERS},
+    "fewest-necessities": (FewestNecessities(), ()),
+}
+
+
+@pytest.mark.parametrize("policy,dominance", NON_STRICT.values(), ids=list(NON_STRICT))
+def test_gated_odot_is_not_associative_at_three_objects(policy, dominance):
+    """Under every total order of ``a b c`` with ``dominance``, every ranking
+    of ``A B C`` with ``agent-priority``, and ``fewest-necessities``, some DISC
+    triple over ``a b c`` gives the two groupings different outcomes, and not
+    two failures: one such triple decides that gated ``odot`` is not
+    associative there.  The sweep is the ``strict`` test's, stopped at the
+    first such triple."""
+    def differ(one, other):
+        return one != other and not (isinstance(one, tuple) and isinstance(other, tuple))
+
+    found = next(((labels, env) for labels, spec, envs in disc_triples(dominance) for env in envs
+                  if differ(*groupings(env, spec, policy))), None)
+    assert found is not None
 
 
 class TestDeepChains:

@@ -152,14 +152,15 @@ _WINDOW = 32768  # characters lexed at a time: a bounded token list, short-lived
 
 
 def _lex(text: str) -> tuple[str, Iterator[list[str]]]:
-    """The text without comments, checked for stray characters, and its tokens lazily,
-    one window at a time: the lines up to the first line end after _WINDOW characters.
+    """The text with comments blanked to spaces, so that it keeps the text's offsets, checked
+    for stray characters, and its tokens lazily, one window at a time: the lines up to the
+    first line end after _WINDOW characters.
 
     A line end is appended to the text, so that every statement ends with
     one.  With every symbol padded by spaces and each line end made an _EOL
     word, one ``split`` gives the tokens that ``_TOKEN.findall`` gives.
     """
-    code = (_COMMENT.sub("", text) if "#" in text else text) + "\n"
+    code = (_COMMENT.sub(lambda c: " " * len(c.group()), text) if "#" in text else text) + "\n"
     # a non-ASCII text is left to the regex: it may hold a lone surrogate,
     # which has no UTF-8 encoding
     if not code.isascii() or code.encode().translate(None, _ALLOWED_ASCII):
@@ -193,26 +194,24 @@ class _Parser:
     """Reads one window of tokens at a time; positions are worked out only for an error."""
 
     def __init__(self, text: str):
-        self.text = text
         self.code, self.windows = _lex(text)
         self.tokens, self.pos, self.offset = [""], 0, 0  # offset: tokens of earlier windows
-        self.line = 1  # the current line: one more than the line ends read
 
     def position(self, index: int) -> tuple[int, int]:
-        """Line and column of token ``index`` of this window, from a scan of the text up to it.
+        """Line and column of token ``index`` of the text, from a scan of the text up to it.
 
         Only a statement can start at the end of the text, so no error is
         reported there.
         """
-        match = next(islice(_TOKEN.finditer(self.code), self.offset + index, None))
-        line, col = _line_col(self.code, match.start())
-        if match.group() == "\n":  # just past the line as written, comment included
-            col = len(self.text.split("\n")[line - 1]) + 1
-        return line, col
+        match = next(islice(_TOKEN.finditer(self.code), index, None))
+        return _line_col(self.code, match.start())
 
     def fail(self, message: str, index: int | None = None) -> ParseError:
-        line, col = self.position(self.pos if index is None else index)
+        line, col = self.position(self.offset + (self.pos if index is None else index))
         return ParseError(line, col, message)
+
+    def invalid(self, message: str, index: int) -> ValidationError:
+        return ValidationError(message, self.position(index)[0])
 
     def expected(self, what: str) -> ParseError:
         token = self.tokens[self.pos]
@@ -236,13 +235,12 @@ class _Parser:
         if token != _EOL:
             raise self.fail(f"unexpected trailing token {token!r}")
         self.pos += 1
-        self.line += 1
 
-    def binding(self, what: str, line: int) -> str:
+    def binding(self, what: str, at: int) -> str:
         """The bound name of ``agent``/``let``, up to and including the ``=``."""
         name = self.expect_name(what)
         if name in KEYWORDS:
-            raise ValidationError(f"keyword {name!r} cannot be bound", line)
+            raise self.invalid(f"keyword {name!r} cannot be bound", at)
         self.expect_sym("=")
         return name
 
@@ -353,7 +351,6 @@ def parse_session(text: str) -> SessionScript:
     unknown: dict[str, tuple] = {}  # per kind: the first run naming an unknown object
     read_to = 0  # up to here a run that failed its checks is read line by line
     policy: ResolutionPolicy | None = None
-    policy_line: int | None = None
     statements: list[Statement] = []
     known_names: set[str] = set()
 
@@ -361,8 +358,7 @@ def parse_session(text: str) -> SessionScript:
     while True:
         while tokens[p.pos] == _EOL:  # a blank line
             p.pos += 1
-            p.line += 1
-        keyword, line = tokens[p.pos], p.line
+        keyword, at = tokens[p.pos], p.offset + p.pos  # at: the keyword's index in the text
         if not keyword:  # the end of a window
             p.offset, p.pos = p.offset + p.pos, 0
             tokens = p.tokens = next(p.windows, None)
@@ -374,13 +370,13 @@ def parse_session(text: str) -> SessionScript:
         if keyword in _SYMBOLS:
             raise p.fail(f"expected statement keyword, found {keyword!r}")
         if universe is None and keyword != "universe":
-            raise ValidationError("the universe must be declared first", line)
+            raise p.invalid("the universe must be declared first", at)
         if keyword not in _STATEMENTS:
             raise p.fail(f"unknown statement keyword {keyword!r}")
         p.pos += 1
         if keyword == "universe":
             if universe is not None:
-                raise ValidationError("duplicate universe declaration", line)
+                raise p.invalid("duplicate universe declaration", at)
             names = []
             while tokens[p.pos] not in _NOT_NAMES:
                 names.append(p.expect_name())
@@ -388,18 +384,18 @@ def parse_session(text: str) -> SessionScript:
             try:
                 universe = make_universe(names)
             except NegsetError as exc:
-                raise ValidationError(str(exc), line) from exc
+                raise p.invalid(str(exc), at) from exc
             index = universe._index
         elif keyword == "agent":
-            name = p.binding("agent name", line)
+            name = p.binding("agent name", at)
             nec, adm = p.parse_negset_literal()
             p.end_line()
             if name in known_names:
-                raise ValidationError(f"duplicate name {name!r}", line)
+                raise p.invalid(f"duplicate name {name!r}", at)
             try:
                 value = negset_of(universe, nec, adm)
             except (NotDouble, UnknownObject) as exc:
-                raise ValidationError(f"agent {name}: {exc}", line) from exc
+                raise p.invalid(f"agent {name}: {exc}", at) from exc
             agents.append((name, value))
             known_names.add(name)
         elif keyword in runs:
@@ -413,7 +409,7 @@ def parse_session(text: str) -> SessionScript:
             if k and (tokens[start + stride - 1:stop:stride].count(_EOL) == k
                       and (stride == 4 or tokens[start + 2:stop:5].count(">") == k)
                       and _NOT_NAMES.isdisjoint(xs + ys)):
-                p.pos, p.line = stop, line + k
+                p.pos = stop
             else:
                 read_to = stop
                 xs = [p.expect_name("object name")]
@@ -424,25 +420,24 @@ def parse_session(text: str) -> SessionScript:
             try:
                 runs[keyword].append([list(map(index.__getitem__, names)) for names in (xs, ys)])
             except KeyError:
-                unknown.setdefault(keyword, (line, xs, ys))
+                unknown.setdefault(keyword, (at, stride, xs, ys))
         elif keyword == "policy":
             if policy is not None:
-                raise ValidationError("duplicate policy declaration", line)
-            policy = p.parse_policy()
-            policy_line = line
+                raise p.invalid("duplicate policy declaration", at)
+            policy, policy_at = p.parse_policy(), at
             p.end_line()
         else:  # let, eval, assert_disc, expect
-            name = p.binding("binding name", line) if keyword == "let" else None
+            name = p.binding("binding name", at) if keyword == "let" else None
             expr = p.parse_expr()
             if keyword == "expect":
                 p.expect_sym("=")
                 nec, adm = p.parse_negset_literal()
             p.end_line()
             if name in known_names:
-                raise ValidationError(f"duplicate name {name!r}", line)
+                raise p.invalid(f"duplicate name {name!r}", at)
             for item in expr:
                 if item not in known_names and item.__class__ is str and item not in KEYWORDS:
-                    raise ValidationError(f"unknown name {item!r}", line)
+                    raise p.invalid(f"unknown name {item!r}", at)
             if keyword == "let":
                 statements.append(Let(name, expr))
                 known_names.add(name)
@@ -450,7 +445,7 @@ def parse_session(text: str) -> SessionScript:
                 try:
                     target = negset_of(universe, nec, adm)
                 except (NotDouble, UnknownObject) as exc:
-                    raise ValidationError(str(exc), line) from exc
+                    raise p.invalid(str(exc), at) from exc
                 statements.append(Expect(expr, target))
             else:
                 statements.append((Eval if keyword == "eval" else AssertDisc)(expr))
@@ -460,22 +455,22 @@ def parse_session(text: str) -> SessionScript:
 
     for kind in _RELATIONS:
         if kind in unknown:
-            first, xs, ys = unknown[kind]
-            at, name = next((at, name) for at, pair in enumerate(zip(xs, ys))
-                            for name in pair if name not in index)
-            raise ValidationError(f"object {name!r} not in universe", first + at)
+            first, stride, xs, ys = unknown[kind]  # line k of a run starts at first + k * stride
+            k, name = next((k, name) for k, pair in enumerate(zip(xs, ys))
+                           for name in pair if name not in index)
+            raise p.invalid(f"object {name!r} not in universe", first + k * stride)
 
     if isinstance(policy, AgentPriority):
         ranking = policy.ranking
         agent_names = {name for name, _ in agents}
         if len(set(ranking)) != len(ranking):
-            raise ValidationError("priority ranking contains ties", policy_line)
+            raise p.invalid("priority ranking contains ties", policy_at)
         missing = [n for n in ranking if n not in agent_names]
         if missing:
-            raise ValidationError(f"ranking names undeclared agents: {missing}", policy_line)
+            raise p.invalid(f"ranking names undeclared agents: {missing}", policy_at)
         uncovered = sorted(agent_names - set(ranking))
         if uncovered:
-            raise ValidationError(f"ranking does not cover agents: {uncovered}", policy_line)
+            raise p.invalid(f"ranking does not cover agents: {uncovered}", policy_at)
 
     pairs = [chain.from_iterable(zip(xs, ys) for xs, ys in runs[k]) for k in _RELATIONS]
     try:

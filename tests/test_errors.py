@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negset import cli
-from negset.session import ParseError, ValidationError, parse_session, print_session
+from negset.session import _STATEMENTS, ParseError, ValidationError, parse_session, print_session
 
 U = "universe a b c\nagent A = [{a} {a b}]\nagent B = [{b} {b c}]\n"
 
@@ -202,3 +202,45 @@ def test_error_position_points_at_the_named_token(text):
         assert _TOKEN_AT.match(rest).group() == named
     else:
         assert (named, error.col) == ("NEWLINE", len(line) + 1)
+
+
+# Lines that fail validation: unknown objects in relation lines and runs, names
+# declared twice, and rankings that add an agent, miss one or repeat one.
+_INVALID = [
+    "strong a z\n", "weak z b  # pair\n", "dominance a > z\n", "strong a b\nstrong b c\nstrong z c\n",
+    "dominance c > a\ndominance c > z\n", "universe a\n", "agent A = [{} {}]\n",
+    "let A = B\n", "eval A odot Y\n", "policy agent-priority A > B > Q\n",
+    "policy agent-priority B # only\n", "policy agent-priority A > A\n",
+]
+_LINES = ["strong a c\n", "weak b c\n", "dominance a > b\n", "policy dominance\n", "\n", "# note\n",
+          "let X = A oplus B\n", "eval X\n", *_INVALID]  # after U
+_QUOTED = re.compile(r"'([^']*)'")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_LINES), max_size=8).map(lambda lines: U + "".join(lines)),
+    st.lists(st.sampled_from(_FRAGMENTS + _INVALID)).map(lambda parts: U + "".join(parts)),
+    st.lists(st.sampled_from(_FRAGMENTS + _INVALID)).map("".join),
+))
+def test_validation_line_is_the_statement_it_names(text):
+    """A validation error's line, worked out only when it is raised, is the
+    statement it is about: once its comment is removed, the line starts with
+    a statement keyword and holds every name the message quotes."""
+    try:
+        parse_session(text)
+    except ValidationError as exc:
+        error = exc
+    except ParseError:
+        return
+    else:
+        return
+    if error.line is None:
+        return
+    message = str(error).split(": ", 1)[1]
+    words = _TOKEN_AT.findall(text.split("\n")[error.line - 1].split("#")[0])
+    if message != "the universe must be declared first":
+        assert words[0] in _STATEMENTS, (message, words)
+    if "does not cover" not in message:
+        for name in _QUOTED.findall(message):
+            assert name in words, (message, words)

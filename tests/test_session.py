@@ -114,7 +114,7 @@ class TestLexer:
     def test_tokens_are_the_regex_tokens(self, text, window):
         # windows of a few characters, so that a text of more than one line
         # is read as several
-        code = _COMMENT.sub("", text) + "\n"
+        code = _COMMENT.sub(lambda c: " " * len(c.group()), text) + "\n"
         stray = _STRAY.search(code)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(session, "_WINDOW", window)
@@ -209,6 +209,11 @@ class TestWindows:
         ("weak o1 zz\nstrong o2 o3\nstrong o4 yy\n", "line 6005: object 'yy' not in universe"),
         ("eval A odot Z\n", "line 6003: unknown name 'Z'"),
         ("policy strict\npolicy dominance\n", "line 6004: duplicate policy declaration"),
+        # comments, blank lines and a ranking checked after the last window
+        ("# note\n\nweak o1 zz  # trailing\n", "line 6005: object 'zz' not in universe"),
+        ("agent B = [{o1} # open\n", "6003:23: expected '{', found 'NEWLINE'"),
+        ("policy agent-priority A > Q\n" + "eval A\n" * 4,
+         "line 6003: ranking names undeclared agents: ['Q']"),
     ])
     @pytest.mark.parametrize("window", [None, 3])
     def test_errors_past_the_first_window(self, tail, message, window):

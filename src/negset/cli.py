@@ -127,16 +127,20 @@ def _fixture_object(result: "oracle.FixtureResult") -> str:
             f'      "note": {_quote(result.note)}\n    }}')
 
 
-def _oracle_report(reports: list | None, fixtures: list, ok: bool, as_json: bool) -> str:
-    """The report of ``laws``, or of ``fixtures`` when ``reports`` is None, as text or
-    as the text ``json.dumps(doc, indent=2) + "\\n"`` gives for its document."""
-    if not as_json:
+def _oracle_report(reports: list | None, fixtures: list, as_json: bool) -> int:
+    """Write the report of ``laws``, or of ``fixtures`` when ``reports`` is None, and return
+    its exit code; as JSON, it is the text ``json.dumps(doc, indent=2) + "\\n"`` would give."""
+    ok = all(r.matches_expected for r in reports or ()) and all(f.passed for f in fixtures)
+    if as_json:
+        laws = ("" if reports is None
+                else f'  "laws": {json_array(map(_law_object, reports), "    ")},\n')
+        text = (f'{{\n{laws}  "fixtures": {json_array(map(_fixture_object, fixtures), "    ")},\n'
+                f'  "ok": {_JSON_BOOL[ok]}\n}}\n')
+    else:
         lines = chain(map(_law_line, reports or ()), map(_fixture_line, fixtures))
-        return "".join(f"{line}\n" for line in lines)
-    laws = ("" if reports is None
-            else f'  "laws": {json_array(map(_law_object, reports), "    ")},\n')
-    return (f'{{\n{laws}  "fixtures": {json_array(map(_fixture_object, fixtures), "    ")},\n'
-            f'  "ok": {_JSON_BOOL[ok]}\n}}\n')
+        text = "".join(f"{line}\n" for line in lines)
+    sys.stdout.write(text)
+    return EXIT_OK if ok else EXIT_FAILED_CHECKS
 
 
 def cmd_laws(law: str | None, run_all: bool, size: int | None, limit: int, as_json: bool) -> int:
@@ -148,19 +152,14 @@ def cmd_laws(law: str | None, run_all: bool, size: int | None, limit: int, as_js
     tables = oracle._Tables(n)
     reports = [oracle.check_law(law_id, n, limit=limit, tables=tables) for law_id in law_ids]
     fixtures = [oracle.verify_fixture(fid) for fid in oracle.fixture_ids()] if run_all else []
-    ok = all(r.matches_expected for r in reports) and all(f.passed for f in fixtures)
-    sys.stdout.write(_oracle_report(reports, fixtures, ok, as_json))
-    return EXIT_OK if ok else EXIT_FAILED_CHECKS
+    return _oracle_report(reports, fixtures, as_json)
 
 
 def cmd_fixtures(fixture: str | None, as_json: bool) -> int:
     from . import oracle
 
     ids = [fixture] if fixture else oracle.fixture_ids()
-    results = [oracle.verify_fixture(fid) for fid in ids]
-    ok = all(r.passed for r in results)
-    sys.stdout.write(_oracle_report(None, results, ok, as_json))
-    return EXIT_OK if ok else EXIT_FAILED_CHECKS
+    return _oracle_report(None, [oracle.verify_fixture(fid) for fid in ids], as_json)
 
 
 @functools.cache  # parse_args leaves the parser as it is, so one serves every call
@@ -170,13 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="run a session script")
-    p_eval.add_argument("path")
-    p_eval.add_argument("--json", action="store_true")
-
-    p_check = sub.add_parser("check", help="DISC verdicts for every agent and binding")
-    p_check.add_argument("path")
-    p_check.add_argument("--json", action="store_true")
+    for name, summary in (("eval", "run a session script"),
+                          ("check", "DISC verdicts for every agent and binding")):
+        p_script = sub.add_parser(name, help=summary)
+        p_script.add_argument("path")
+        p_script.add_argument("--json", action="store_true")
 
     p_laws = sub.add_parser("laws", help="exhaustive law sweeps")
     group = p_laws.add_mutually_exclusive_group(required=True)
@@ -204,12 +201,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "laws":
             return cmd_laws(args.law, args.run_all, args.size, args.limit, args.json)
         return cmd_fixtures(args.fixture, args.json)
-    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+    except (NegsetError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NegsetError as exc:  # an unreadable script, unknown law or fixture, bad size or limit
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, (ParseError, ValidationError, UnicodeDecodeError)):
+            return EXIT_PARSE
+        return EXIT_CONFIG  # an unreadable script, unknown law or fixture, bad size or limit
 
 
 def entry() -> None:

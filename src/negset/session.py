@@ -244,28 +244,24 @@ class _Parser:
         self.expect_sym("=")
         return name
 
-    # set and negotiation-set literals, as raw name lists
-
-    def parse_set_literal(self) -> list[str]:
-        self.expect_sym("{")
-        tokens, start = self.tokens, self.pos
-        try:
-            end = tokens.index("}", start)
-        except ValueError:
-            end = len(tokens)
-        names = tokens[start:end]
-        if not _NOT_NAMES.isdisjoint(names):
-            self.pos = start + [name in _NOT_NAMES for name in names].index(True)
-            raise self.expected("object name")
-        self.pos = end + 1
-        return names
-
-    def parse_negset_literal(self) -> tuple[list[str], list[str]]:
+    def parse_negset_literal(self) -> list[list[str]]:
+        """A negotiation-set literal ``[{…} {…}]`` as its two raw name lists."""
         self.expect_sym("[")
-        nec = self.parse_set_literal()
-        adm = self.parse_set_literal()
+        sets = []
+        for _ in range(2):
+            self.expect_sym("{")
+            tokens, start = self.tokens, self.pos
+            try:
+                end = tokens.index("}", start)
+            except ValueError:
+                end = len(tokens)
+            sets.append(tokens[start:end])
+            if not _NOT_NAMES.isdisjoint(sets[-1]):
+                self.pos = start + [name in _NOT_NAMES for name in sets[-1]].index(True)
+                raise self.expected("object name")
+            self.pos = end + 1
         self.expect_sym("]")
-        return nec, adm
+        return sets
 
     # expressions
 
@@ -544,12 +540,9 @@ def print_session(script: SessionScript) -> str:
     lines = ["universe " + " ".join(script.universe.objects)]
     for name, value in script.agents:
         lines.append(f"agent {name} = {format_negset(value)}")
-    for x, y in script.strong:
-        lines.append(f"strong {x} {y}")
-    for x, y in script.weak:
-        lines.append(f"weak {x} {y}")
-    for x, y in script.dominance:
-        lines.append(f"dominance {x} > {y}")
+    for kind in _RELATIONS:
+        sep = " > " if kind == "dominance" else " "
+        lines += (f"{kind} {x}{sep}{y}" for x, y in getattr(script, kind))
     lines.append("policy " + print_policy(script.policy))
     for stmt in script.statements:
         lines.append(print_statement(stmt))
@@ -586,17 +579,16 @@ class SessionReport(Record):
         texts, lines = cache(self.universe.format_masks), []
         for r in self.results:
             suffix = f"  # {'; '.join(r.notes)}" if r.notes else ""
-            if r.kind in ("let", "eval"):
-                if r.ok:
-                    lines.append(f"{r.source} = {texts(r.value.nec, r.value.adm)}{suffix}")
-                else:
-                    lines.append(f"{r.source}: ERROR {r.detail}{suffix}")
-            elif r.kind == "assert_disc":
+            if r.ok and r.kind in ("let", "eval"):  # a bound value
+                lines.append(f"{r.source} = {texts(r.value.nec, r.value.adm)}{suffix}")
+                continue
+            if r.kind == "assert_disc":
                 verdict = "DISC" if r.ok else f"NOT DISC [{r.detail}]"
-                lines.append(f"{r.source}: {verdict}{suffix}")
-            else:
+            elif r.kind == "expect":
                 verdict = "ok" if r.ok else f"FAILED {r.detail}"
-                lines.append(f"{r.source}: {verdict}{suffix}")
+            else:  # a let or eval that failed
+                verdict = f"ERROR {r.detail}"
+            lines.append(f"{r.source}: {verdict}{suffix}")
         if self.halted:
             lines.append(f"halted: {self.halt_reason}")
         return "\n".join(lines) + "\n"

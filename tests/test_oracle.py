@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from functools import reduce
 from itertools import combinations, product
+from operator import eq
 
 import pytest
 
@@ -600,6 +601,68 @@ def test_grade_table_of_each_binary_operator(name):
 
 def test_grade_table_of_not():
     assert [grade_of(complement_masks(1, *GRADE_MASKS[x])) for x in GRADES] == [1, H, 0]
+
+
+# Equations between two of core's operators.  Every operator acts on each object
+# alone, so an equation holds on every universe iff it holds over the three
+# grades (README's three-valued reading); each one found is checked at n = 2 too.
+OPERATORS = {"odot": odot_masks, "oplus": oplus_masks, "union": core.union_masks,
+             "inter": core.inter_masks, "minus": core.difference_masks}
+LAW_SHAPES = {  # shape: (operands, both sides), for binary f and g and complement c
+    "left-distributivity": (3, lambda f, g, c, a, b, d: (f(a, g(b, d)), g(f(a, b), f(a, d)))),
+    "right-distributivity": (3, lambda f, g, c, a, b, d: (f(g(b, d), a), g(f(b, a), f(d, a)))),
+    "absorption": (2, lambda f, g, c, a, b: (f(a, g(a, b)), a)),
+    "demorgan": (2, lambda f, g, c, a, b: (c(f(a, b)), g(c(a), c(b)))),
+}
+HOLDING_LAWS = [
+    "absorption-inter-union", "absorption-oplus-odot", "absorption-union-inter",
+    "absorption-union-minus", "demorgan-inter-union", "demorgan-odot-odot",
+    "demorgan-union-inter",
+    "left-distributivity-inter-over-odot", "left-distributivity-inter-over-oplus",
+    "left-distributivity-inter-over-union", "left-distributivity-minus-over-odot",
+    "left-distributivity-odot-over-inter", "left-distributivity-odot-over-union",
+    "left-distributivity-oplus-over-inter", "left-distributivity-oplus-over-union",
+    "left-distributivity-union-over-inter", "left-distributivity-union-over-odot",
+    "right-distributivity-inter-over-odot", "right-distributivity-inter-over-oplus",
+    "right-distributivity-inter-over-union", "right-distributivity-minus-over-inter",
+    "right-distributivity-minus-over-odot", "right-distributivity-minus-over-oplus",
+    "right-distributivity-minus-over-union", "right-distributivity-odot-over-inter",
+    "right-distributivity-odot-over-union", "right-distributivity-oplus-over-inter",
+    "right-distributivity-oplus-over-union", "right-distributivity-union-over-inter",
+    "right-distributivity-union-over-odot",
+]
+
+
+def holding_laws(full, points):
+    """The sorted names of the laws that hold at every tuple of ``points``, mask pairs
+    within ``full``.  Only a De Morgan law may pair an operator with itself."""
+    def binary(op):
+        return lambda x, y: op(*x, *y)
+
+    def c(x):
+        return complement_masks(full, *x)
+
+    found = []
+    for (f, fop), (g, gop) in product(OPERATORS.items(), repeat=2):
+        fb, gb = binary(fop), binary(gop)
+        for shape, (arity, sides) in LAW_SHAPES.items():
+            if f == g and shape != "demorgan":
+                continue
+            if all(eq(*sides(fb, gb, c, *xs)) for xs in product(points, repeat=arity)):
+                found.append(f"{shape}-{f}-over-{g}" if "distributivity" in shape
+                             else f"{shape}-{f}-{g}")
+    return sorted(found)
+
+
+def test_equations_between_two_operators_over_the_grades():
+    assert holding_laws(1, GRADE_MASKS.values()) == HOLDING_LAWS
+    # the catalog states one of them; its distributivity laws are left ones
+    stated = {law.replace("left-", "") for law in HOLDING_LAWS} & set(oracle.law_ids())
+    assert stated == {"absorption-oplus-odot"}
+
+
+def test_equations_between_two_operators_hold_at_two_objects():
+    assert holding_laws(3, oracle.enumerate_mask_pairs(2)) == HOLDING_LAWS
 
 
 @pytest.mark.parametrize("kind", ["strong", "weak"])

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import negset as ns
 from negset import cli, session
 from negset.consistency import AgentPriority, FewestNecessities, ObjectDominance, Strict
+from negset.errors import NegsetError
 from negset.session import (
     AssertDisc,
     Eval,
@@ -26,6 +27,7 @@ from negset.session import (
     run_session,
 )
 from negset.session import _COMMENT, _EOL, _STRAY, _TOKEN, _lex
+from neighbourhood import ALPHABET, one_edit_texts
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -850,3 +852,41 @@ class TestDeepNesting:
         assert report.all_ok
         assert str(report.results[0].value) == value
         assert parse_session(print_session(script)) == script
+
+
+# --- the one-edit neighbourhood of the corpus, decided ---
+
+# together these hold all ten statement keywords and all four policies
+NEIGHBOURHOOD = ["disc_dominance.ns", "weak_demo.ns", "gated_grouping_fewest.ns",
+                 "disc_priority.ns", "disc_fail_strict.ns"]
+
+
+def parses_runs_and_round_trips(text: str) -> bool:
+    """False if ``text`` ends in a NegsetError; a script it parses to must run
+    with no exception and come back from its printed text."""
+    try:
+        script = parse_session(text)
+    except NegsetError:
+        return False
+    run_session(script)
+    assert parse_session(print_session(script)) == script
+    return True
+
+
+def test_one_edit_neighbourhood_parses_or_fails_cleanly():
+    texts = [(SESSIONS / name).read_text() for name in NEIGHBOURHOOD]
+    scripts = [parse_session(text) for text in texts]
+    words = {word for text in texts for word in _TOKEN.findall(_COMMENT.sub("", text))}
+    assert session._STATEMENTS <= words
+    assert {type(script.policy) for script in scripts} == {
+        Strict, ObjectDominance, AgentPriority, FewestNecessities}
+    assert len(ALPHABET) == len(set(ALPHABET)) == 35
+    edited = parsed = 0
+    for text in texts:
+        for new in sorted(one_edit_texts(text)):
+            try:
+                parsed += parses_runs_and_round_trips(new)
+            except Exception as exc:
+                raise AssertionError(f"one-edit text {new!r}") from exc
+            edited += 1
+    assert (edited, parsed) == (19_479, 765)

@@ -201,11 +201,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "laws":
             return cmd_laws(args.law, args.run_all, args.size, args.limit, args.json)
         return cmd_fixtures(args.fixture, args.json)
-    except (NegsetError, UnicodeDecodeError) as exc:
+    except (NegsetError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (ParseError, ValidationError, UnicodeDecodeError)):
             return EXIT_PARSE
-        return EXIT_CONFIG  # an unreadable script, unknown law or fixture, bad size or limit
+        # an unreadable script, unknown law or fixture, bad size or limit, or a
+        # name that standard output cannot encode
+        return EXIT_CONFIG
 
 
 def entry() -> None:

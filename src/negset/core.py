@@ -83,15 +83,12 @@ class Record:
 
 
 def _compiled_init(cls: type):
-    """``def __init__(self, <fields>)``, the code one would write by hand: a
-    frozen record sets each field through its slot's own setter, which the
-    blocked ``__setattr__`` does not reach; a mutable one assigns it."""
+    """``def __init__(self, <fields>)``, the code one would write by hand: it
+    sets each field through its slot's own setter, which the blocked
+    ``__setattr__`` does not reach."""
     fields = cls._fields
-    if cls.__setattr__ is Record.__setattr__:
-        namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
-        body = [f"_set_{name}(self, {name})" for name in fields]
-    else:
-        namespace, body = {}, [f"self.{name} = {name}" for name in fields]
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
+    body = [f"_set_{name}(self, {name})" for name in fields]
     source = f"def __init__(self, {', '.join(fields)}):\n    " + "\n    ".join(body)
     # a file name per class keeps profiles and tracebacks from merging the constructors
     exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), namespace)

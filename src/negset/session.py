@@ -554,20 +554,12 @@ def print_session(script: SessionScript) -> str:
 class StatementResult(Record):
     __slots__ = _fields = ("kind", "source", "ok", "value", "detail", "notes")
     _defaults = (None, "", ())
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
 
 
 class SessionReport(Record):
+    # halt_kind is "resolution" or "error" when halted
     __slots__ = _fields = ("universe", "results", "halted", "halt_reason", "halt_kind")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
-
-    def __init__(self, universe: Universe, results: list[StatementResult] | None = None,
-                 halted: bool = False, halt_reason: str = "", halt_kind: str = ""):
-        self.universe = universe
-        self.results = [] if results is None else results
-        self.halted = halted
-        self.halt_reason = halt_reason
-        self.halt_kind = halt_kind  # "resolution" or "error" when halted
+    _defaults = ((), False, "", "")
 
     @property
     def all_ok(self) -> bool:
@@ -728,7 +720,7 @@ def eval_bindings(script: SessionScript) -> list[tuple[str, NegotiationSet]]:
 def run_session(script: SessionScript) -> SessionReport:
     """Execute statements in order; expect failures continue, errors halt."""
     ev = _Evaluator(script.spec, script.policy, dict(script.agents))
-    report = SessionReport(universe=script.universe)
+    results = []
     for stmt in script.statements:
         ev.notes = []
         kind = _KIND[type(stmt)]
@@ -746,17 +738,11 @@ def run_session(script: SessionScript) -> SessionReport:
             elif isinstance(stmt, Expect) and value != stmt.target:
                 ok = False
                 detail = f"expected {format_negset(stmt.target)} got {format_negset(value)}"
-            report.results.append(
-                StatementResult(kind, source, ok, value, detail, tuple(ev.notes))
-            )
+            results.append(StatementResult(kind, source, ok, value, detail, tuple(ev.notes)))
         except NegsetError as exc:
-            report.results.append(StatementResult(
+            results.append(StatementResult(
                 kind, print_statement(stmt), False, detail=str(exc), notes=tuple(ev.notes)
             ))
-            report.halted = True
-            report.halt_reason = str(exc)
-            report.halt_kind = (
-                "resolution" if isinstance(exc, (ResolutionFailed, InputNotDisc)) else "error"
-            )
-            break
-    return report
+            halt = "resolution" if isinstance(exc, (ResolutionFailed, InputNotDisc)) else "error"
+            return SessionReport(script.universe, tuple(results), True, str(exc), halt)
+    return SessionReport(script.universe, tuple(results))

@@ -503,6 +503,26 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+class TestUnencodableStdout:
+    @pytest.mark.parametrize("command", ["eval", "check"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_text_exits_4_and_json_escapes(self, tmp_path, command, as_json):
+        path = tmp_path / "accent.ns"
+        path.write_text("universe é b\nagent A = [{é} {é b}]\neval A\n", encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}
+        argv = [command, *(["--json"] if as_json else []), str(path)]
+        proc = subprocess.run([sys.executable, "-m", "negset.cli", *argv], capture_output=True,
+                              env=env, timeout=60)
+        if as_json:
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert b'"\\u00e9"' in proc.stdout
+        else:
+            assert (proc.returncode, proc.stdout) == (4, b"")
+            assert proc.stderr.startswith(b"error: 'ascii' codec can't encode character '\\xe9'")
+            assert proc.stderr.count(b"\n") == 1
+
+
 class TestInternalError:
     def test_unexpected_exception_is_one_line_and_exit_70(self, monkeypatch, capsys):
         def broken(argv=None):

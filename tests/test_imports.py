@@ -1,8 +1,10 @@
 """What ``import negset`` binds and loads: the public names stay fixed, and a
 bare import loads ``core`` and ``errors`` only.  Consistency, the session DSL
 and the law oracle load on first use; the dataclass machinery and the json
-package are left out until used."""
+package are left out until used.  The reference semantics import nothing from
+the package."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -153,3 +155,14 @@ def test_eval_json_is_the_same_without_the_c_encoder():
     assert [done.stderr for done in runs] == ["_json\n", "json.encoder\n"]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.startswith('{\n  "universe": [')
+
+
+def test_reference_semantics_import_nothing_from_negset():
+    # the second route of the dual-route checks shares no code with the package
+    tree = ast.parse((Path(__file__).resolve().parent / "refimpl.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level]
+    assert imported and all(name.split(".")[0] != "negset" for name in imported)
+    assert not any(isinstance(node, ast.ImportFrom) and node.level for node in ast.walk(tree))

@@ -665,6 +665,68 @@ def test_equations_between_two_operators_hold_at_two_objects():
     assert holding_laws(3, oracle.enumerate_mask_pairs(2)) == HOLDING_LAWS
 
 
+# Terms over A, B and C with at most three operators from odot, oplus and not.  A
+# term's table over the 27 grade assignments is its value over 27 objects: object
+# i grades A, B and C by the base-3 digits of i, from the most significant.
+TERM_FULL = (1 << 27) - 1
+
+
+def variable_masks(digit):
+    """The masks of the variable graded at object i by base-3 digit ``digit`` of i."""
+    grades = [GRADE_MASKS[GRADES[i // 3 ** digit % 3]] for i in range(27)]
+    return tuple(sum(bits[side] << i for i, bits in enumerate(grades)) for side in (0, 1))
+
+
+def terms_by_operator_count():
+    """One dict per operator count, 0 to 3, from each term to its table."""
+    counts = [{"A": variable_masks(2), "B": variable_masks(1), "C": variable_masks(0)}]
+    for k in range(1, 4):
+        terms = {("not", t): complement_masks(TERM_FULL, *v) for t, v in counts[k - 1].items()}
+        for i in range(k):
+            for (x, xv), (y, yv) in product(counts[i].items(), counts[k - 1 - i].items()):
+                terms[("odot", x, y)] = odot_masks(*xv, *yv)
+                terms[("oplus", x, y)] = oplus_masks(*xv, *yv)
+        counts.append(terms)
+    return counts
+
+
+# the two sides of each catalog law on three operators or fewer, as terms
+CATALOG_EQUATIONS = {
+    "idempotence-odot": (("odot", "A", "A"), "A"),
+    "idempotence-oplus": (("oplus", "A", "A"), "A"),
+    "complement-involution": (("not", ("not", "A")), "A"),
+    "commutativity-odot": (("odot", "A", "B"), ("odot", "B", "A")),
+    "commutativity-oplus": (("oplus", "A", "B"), ("oplus", "B", "A")),
+    "absorption-oplus-odot": (("oplus", "A", ("odot", "A", "B")), "A"),
+    "absorption-odot-oplus": (("odot", "A", ("oplus", "A", "B")), "A"),
+    "associativity-odot": (
+        ("odot", ("odot", "A", "B"), "C"), ("odot", "A", ("odot", "B", "C"))),
+    "associativity-oplus": (
+        ("oplus", ("oplus", "A", "B"), "C"), ("oplus", "A", ("oplus", "B", "C"))),
+    "distributivity-oplus-over-odot": (
+        ("oplus", "A", ("odot", "B", "C")), ("odot", ("oplus", "A", "B"), ("oplus", "A", "C"))),
+    "distributivity-odot-over-oplus": (
+        ("odot", "A", ("oplus", "B", "C")), ("oplus", ("odot", "A", "B"), ("odot", "A", "C"))),
+}
+
+
+def test_terms_with_three_operators_fall_into_197_classes():
+    counts = terms_by_operator_count()
+    assert [len(terms) for terms in counts] == [3, 21, 273, 4431]
+    table = {t: v for terms in counts for t, v in terms.items()}
+    assert len(table) == 4728 and len(set(table.values())) == 197
+    holding = {law for law, (x, y) in CATALOG_EQUATIONS.items() if table[x] == table[y]}
+    assert holding == {law for law in CATALOG_EQUATIONS
+                       if not oracle.LAWS[law].expects_counterexample}
+    assert holding == {
+        "idempotence-odot", "idempotence-oplus", "commutativity-odot", "commutativity-oplus",
+        "associativity-odot", "associativity-oplus", "complement-involution",
+        "absorption-oplus-odot"}
+    assert set(CATALOG_EQUATIONS) - holding == {
+        "absorption-odot-oplus", "distributivity-oplus-over-odot",
+        "distributivity-odot-over-oplus"}
+
+
 @pytest.mark.parametrize("kind", ["strong", "weak"])
 def test_disc_in_grades(kind):
     # a strong pair may not have both grades >= ½; a weak pair may not have

@@ -1,6 +1,6 @@
 """The value contract of every record class: each is built from its fields in
 order, compares, hashes, prints, pickles and copies by them exactly as a
-frozen dataclass does, and the two report records stay mutable and unhashable."""
+frozen dataclass does."""
 
 import copy
 import inspect
@@ -57,14 +57,11 @@ FROZEN = [
      ("law", "size", "checked", "verdict", "counterexamples", "violation_count", "elapsed")),
     (oracle.LawSpec("idempotence-odot", False, len), ("law_id", "expects_counterexample", "cases")),
     (oracle.FixtureResult("trip", True, "note"), ("fixture_id", "passed", "note")),
-]
-MUTABLE = [
     (StatementResult("eval", "eval A", True, A, "", ("n",)),
      ("kind", "source", "ok", "value", "detail", "notes")),
-    (SessionReport(U, [], True, "why", "error"),
+    (SessionReport(U, (StatementResult("let", "let L", False),), True, "why", "error"),
      ("universe", "results", "halted", "halt_reason", "halt_kind")),
 ]
-ALL = FROZEN + MUTABLE
 
 
 def ids(table):
@@ -75,7 +72,7 @@ def field_values(value, fields):
     return tuple(getattr(value, name) for name in fields)
 
 
-@pytest.mark.parametrize("value,fields", ALL, ids=ids(ALL))
+@pytest.mark.parametrize("value,fields", FROZEN, ids=ids(FROZEN))
 def test_repr_is_the_dataclass_text(value, fields):
     body = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
     assert repr(value) == f"{type(value).__qualname__}({body})"
@@ -96,7 +93,7 @@ def test_repr_examples(value, text):
     assert repr(value) == text
 
 
-@pytest.mark.parametrize("value,fields", ALL, ids=ids(ALL))
+@pytest.mark.parametrize("value,fields", FROZEN, ids=ids(FROZEN))
 def test_equal_by_fields_within_one_class(value, fields):
     twin = type(value)(*field_values(value, fields))
     assert twin == value and not twin != value
@@ -131,7 +128,7 @@ def test_assigning_or_deleting_a_field_raises(value, fields):
     assert field_values(value, fields) == before
 
 
-@pytest.mark.parametrize("value,fields", ALL, ids=ids(ALL))
+@pytest.mark.parametrize("value,fields", FROZEN, ids=ids(FROZEN))
 @pytest.mark.parametrize("route", [
     lambda v: pickle.loads(pickle.dumps(v)),
     copy.copy,
@@ -141,8 +138,7 @@ def test_round_trips(value, fields, route):
     back = route(value)
     assert type(back) is type(value)
     assert back == value and field_values(back, fields) == field_values(value, fields)
-    if type(value).__hash__ is not None:
-        assert hash(back) == hash(value)
+    assert hash(back) == hash(value)
 
 
 def test_derived_attributes_survive_a_round_trip():
@@ -164,25 +160,9 @@ def test_keyword_construction_and_defaults():
     assert oracle.FixtureResult("trip", False).note == ""
 
 
-def test_report_results_are_a_fresh_list_per_instance():
-    first, second = SessionReport(U), SessionReport(universe=U)
-    assert first.results == [] and first.results is not second.results
-    assert (first.halted, first.halt_reason, first.halt_kind) == (False, "", "")
-
-
 def test_finite_set_checks_its_mask():
     with pytest.raises(ns.errors.UnknownObject):
         FiniteSet(U, 4)
-
-
-@pytest.mark.parametrize("value,fields", MUTABLE, ids=ids(MUTABLE))
-def test_reports_are_mutable_and_unhashable(value, fields):
-    value = copy.copy(value)
-    for name in fields:
-        setattr(value, name, "changed")
-        assert getattr(value, name) == "changed"
-    with pytest.raises(TypeError):
-        hash(value)
 
 
 def test_policies_keep_their_names():
@@ -197,11 +177,11 @@ DEFAULTS = {
     Failed: {"pairs": ()},
     oracle.FixtureResult: {"note": ""},
     StatementResult: {"value": None, "detail": "", "notes": ()},
-    SessionReport: {"results": None, "halted": False, "halt_reason": "", "halt_kind": ""},
+    SessionReport: {"results": (), "halted": False, "halt_reason": "", "halt_kind": ""},
 }
 
 
-@pytest.mark.parametrize("value,fields", ALL, ids=ids(ALL))
+@pytest.mark.parametrize("value,fields", FROZEN, ids=ids(FROZEN))
 def test_signature_lists_the_fields_with_their_defaults(value, fields):
     params = inspect.signature(type(value)).parameters.values()
     assert [p.name for p in params] == list(fields)
@@ -214,7 +194,7 @@ def test_signature_lists_the_fields_with_their_defaults(value, fields):
         assert init.__module__ == type(value).__module__
 
 
-@pytest.mark.parametrize("value,fields", ALL, ids=ids(ALL))
+@pytest.mark.parametrize("value,fields", FROZEN, ids=ids(FROZEN))
 def test_wrong_arguments_raise_type_error(value, fields):
     cls, args = type(value), field_values(value, fields)
     if fields:

@@ -600,10 +600,10 @@ class TestJsonWriter:
         assert report.to_json() == self.dumped(report)
         assert '"\\u00e9"' in report.to_json()
         u = script.universe
-        report.results.append(StatementResult(
+        extra = StatementResult(
             "eval", 'eval "\\ \u00e9', False, ns.negset_of(u, [], []), "tab\there\n", ("a\"b", "\x00")
-        ))
-        report.halted, report.halt_reason, report.halt_kind = True, "\u4e2d \"x\"", "error"
+        )
+        report = SessionReport(u, (*report.results, extra), True, "\u4e2d \"x\"", "error")
         assert report.to_json() == self.dumped(report)
 
 

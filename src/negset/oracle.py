@@ -14,7 +14,8 @@ enough: the point lemmas need two distinct objects.  Sizes up to five,
 where every law ends, remain available as a cross-check.
 A sweep reads operator tables, built with core's mask arithmetic once per
 ``laws`` command, and decides one keyed row of verdicts at a time: per first
-set, per fold prefix, per ordered object pair, or per DISC labeling.
+set, per ordered object pair, per DISC labeling, or per fold prefix, where
+every prefix with the same fold and accumulator yields one shared row.
 
 Laws expected to hold must report zero violations; refuted laws must
 surface at least one counterexample.  A fixture catalog re-derives every
@@ -26,7 +27,7 @@ halt reason it expects: none, or for ``disc-failure`` the strict policy's
 """
 
 import time
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations, compress, count, islice, permutations, product
 from operator import eq, getitem, itemgetter, not_, or_
 
@@ -238,22 +239,24 @@ def _oplus_grow(acc, pairs):  # [(∪N) ∩ ∩A, ∩A], as oplus_all defines it
 
 def _fold(op, grow, done=list):
     """Cases of a fold law: families of one to three sets, the left fold through the table
-    against the n-ary form from its definition, one row per prefix that entry k completes,
-    depth first: ``grow(acc, pairs)`` extends the prefix by each set, ``done`` ends a row."""
+    against the n-ary form from its definition, one row per prefix that entry k completes:
+    ``grow(acc, pairs)`` extends the prefix by each set, ``done`` ends a row.  A row depends
+    on the prefix's fold x and accumulator acc only, so each distinct (x, acc) builds one."""
     def cases(n, t):
         u, table, pairs = default_universe(n), getattr(t, op), t.pairs
         sets = range(len(pairs))
 
-        def verdicts(folded, accs):
-            return list(map(eq, map(pairs.__getitem__, folded), done(accs)))
+        @cache
+        def row(x, acc):
+            return list(map(eq, map(pairs.__getitem__, table[x]), done(grow(acc, pairs))))
 
         def rows():
-            yield (), verdicts(sets, pairs)
+            yield (), list(map(eq, pairs, done(pairs)))
             for a in sets:
-                yield (a,), verdicts(table[a], grow(pairs[a], pairs))
+                yield (a,), row(a, pairs[a])
             for a in sets:
                 for b, ab, acc_ab in zip(sets, table[a], grow(pairs[a], pairs)):
-                    yield (a, b), verdicts(table[ab], grow(acc_ab, pairs))
+                    yield (a, b), row(ab, acc_ab)
 
         def describe(prefix, k):
             return " ".join(u.format_masks(*pairs[i]) for i in (*prefix, k))
@@ -324,7 +327,7 @@ def check_law(law_id: str, n: int = DECIDING_SIZE, *, limit: int = 5,
         total += wrong
         if wrong and len(examples) < limit:
             at = compress(count(), map(not_, row))  # the positions of the violations
-            examples += [describe(key, k) for k in islice(at, limit - len(examples))]
+            examples += [describe(key, k) for k in islice(at, min(limit - len(examples), wrong))]
     elapsed = time.perf_counter() - start
     verdict = COUNTEREXAMPLES if total else HOLDS
     return LawReport(law_id, n, checked, verdict, tuple(examples), total, elapsed)

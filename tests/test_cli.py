@@ -308,6 +308,14 @@ class TestLaws:
         assert out == ""
         assert err == "error: counterexample limit -1 is negative\n"
 
+    @pytest.mark.parametrize("which, listed", [
+        (["--law", "absorption-odot-oplus"], 17), (["--all"], 17 + 200 + 104)])
+    def test_limit_past_any_count_lists_every_violation(self, which, listed):
+        # a limit past islice's range (sys.maxsize) once ended in an internal error, exit 70
+        code, out, err = run(["laws", *which, "--limit", "99999999999999999999"])
+        assert (code, err) == (0, "")
+        assert out.count("\n  counterexample: ") == listed
+
     def test_limit_zero_counts_without_listing(self):
         code, out, _ = run(["laws", "--law", "absorption-odot-oplus", "--limit", "0"])
         assert code == 0

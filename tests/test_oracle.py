@@ -232,6 +232,29 @@ class TestCheckLaw:
         report = oracle.check_law(law, 2, tables=t, limit=0)
         assert report.violation_count == violations
 
+    @pytest.mark.parametrize("n, at, value, violations", [
+        (2, (7, 1), 8, {"odot": 13, "oplus": 11}),
+        (3, (20, 4), 26, {"odot": 69, "oplus": 28}),
+    ])
+    @pytest.mark.parametrize("op", ["odot", "oplus"])
+    def test_fold_law_fails_on_one_wrong_table_value(self, op, n, at, value, violations):
+        # table[i][j] is set ``value``: every family of one to three sets whose left fold
+        # through that table differs from core's fold of its masks is a violation.  A row
+        # shared by prefixes with the same accumulator alone, or the same fold alone,
+        # would miss some (at n = 2, 8 of 13 for odot and 4 of 11 for oplus)
+        t = oracle._Tables(n)
+        table = [list(r) for r in getattr(t, op)]
+        table[at[0]][at[1]] = value
+        setattr(t, op, table)
+        report = oracle.check_law(f"fold-agreement-{op}", n, tables=t, limit=1)
+        step, pairs = getattr(core, f"{op}_masks"), t.pairs
+        fmt = oracle.default_universe(n).format_masks
+        wrong = [f for k in (1, 2, 3) for f in product(range(len(pairs)), repeat=k)
+                 if pairs[reduce(lambda x, y: table[x][y], f)]
+                 != reduce(lambda acc, a: step(*acc, *a), [pairs[i] for i in f])]
+        assert report.violation_count == len(wrong) == violations[op]
+        assert report.counterexamples == (" ".join(fmt(*pairs[i]) for i in wrong[0]),)
+
     def test_elapsed_is_within_the_wall_time_of_the_call(self):
         start = time.perf_counter()
         report = oracle.check_law("associativity-odot", 3)
@@ -434,7 +457,8 @@ class TestTables:
     def test_a_sweep_holds_one_row_at_a_time(self, law):
         # 81 sets at n = 4: the verdicts would take over 2 MB as one list (the
         # sweeps over three sets check 81³ = 531,441, disc-closure-oplus
-        # 392,436); a DISC law's row per labeling holds at most 81² of them
+        # 392,436); a DISC law's row per labeling holds at most 81² of them,
+        # and the oplus fold law its 4^4 + 1 distinct rows of 81 (about 0.24 MB)
         oracle.check_law(law, 4, tables=oracle._Tables(4))  # import and warm up
         tracemalloc.start()
         try:
@@ -444,6 +468,16 @@ class TestTables:
             tracemalloc.stop()
         assert report.verdict == oracle.HOLDS and report.checked * 8 > 2 << 20
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("op, built", [("odot", 3 ** 3 + 1), ("oplus", 4 ** 3 + 1)])
+    def test_fold_law_builds_one_row_per_fold_and_accumulator(self, op, built):
+        # at n = 3 a fold law yields 1 + 27 + 27² rows, one per prefix; the prefixes that
+        # share a fold and an accumulator share one row: the empty prefix's, and one per
+        # odot accumulator (each names a set) or oplus accumulator (any two masks)
+        rows, _ = oracle.LAWS[f"fold-agreement-{op}"].cases(3, oracle._Tables(3))
+        rows = [row for _, row in rows]
+        assert len(rows) == 1 + 27 + 27 ** 2
+        assert len({id(row) for row in rows}) == built
 
     @pytest.mark.parametrize("op", ["odot", "oplus"])
     def test_n_ary_forms_equal_the_left_fold(self, op):

@@ -45,24 +45,21 @@ def _load_script(path: str) -> SessionScript:
     return parse_session(text)
 
 
-def cmd_eval(path: str, as_json: bool) -> int:
-    report = run_session(_load_script(path))
-    sys.stdout.write(report.to_json() if as_json else report.to_text())
+def cmd_eval(args: argparse.Namespace) -> int:
+    report = run_session(_load_script(args.path))
+    sys.stdout.write(report.to_json() if args.json else report.to_text())
     if report.halted:
         return EXIT_RESOLUTION if report.halt_kind == "resolution" else EXIT_CONFIG
     return EXIT_OK if report.all_ok else EXIT_FAILED_CHECKS
 
 
-def cmd_check(path: str, as_json: bool) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     """Diagnostic mode: evaluate bindings without policy gating, report DISC verdicts."""
-    script = _load_script(path)
-    entries = []
-    all_ok = True
-    for name, value in eval_bindings(script):
-        violations = disc_violations(value, script.spec)
-        all_ok &= not violations
-        entries.append((name, value, violations))
-    if as_json:
+    script = _load_script(args.path)
+    entries = [(name, value, disc_violations(value, script.spec))
+               for name, value in eval_bindings(script)]
+    all_ok = not any(violations for _, _, violations in entries)
+    if args.json:
         sys.stdout.write(_check_json(script, entries, all_ok))
     else:
         texts = functools.cache(script.universe.format_masks)
@@ -143,50 +140,50 @@ def _oracle_report(reports: list | None, fixtures: list, as_json: bool) -> int:
     return EXIT_OK if ok else EXIT_FAILED_CHECKS
 
 
-def cmd_laws(law: str | None, run_all: bool, size: int | None, limit: int, as_json: bool) -> int:
+def cmd_laws(args: argparse.Namespace) -> int:
     from . import oracle  # perfbench/tracing.py patches names on this module
 
-    law_ids = oracle.law_ids() if run_all else [law]
-    n = oracle.DECIDING_SIZE if size is None else size
-    oracle.validate(n, limit)  # before the tables, which list all 3^n sets at once
+    law_ids = oracle.law_ids() if args.run_all else [args.law]
+    n = oracle.DECIDING_SIZE if args.size is None else args.size
+    oracle.validate(n, args.limit)  # before the tables, which list all 3^n sets at once
     tables = oracle._Tables(n)
-    reports = [oracle.check_law(law_id, n, limit=limit, tables=tables) for law_id in law_ids]
-    fixtures = [oracle.verify_fixture(fid) for fid in oracle.fixture_ids()] if run_all else []
-    return _oracle_report(reports, fixtures, as_json)
+    reports = [oracle.check_law(law_id, n, limit=args.limit, tables=tables) for law_id in law_ids]
+    fixtures = [oracle.verify_fixture(fid) for fid in oracle.fixture_ids()] if args.run_all else []
+    return _oracle_report(reports, fixtures, args.json)
 
 
-def cmd_fixtures(fixture: str | None, as_json: bool) -> int:
+def cmd_fixtures(args: argparse.Namespace) -> int:
     from . import oracle
 
-    ids = [fixture] if fixture else oracle.fixture_ids()
-    return _oracle_report(None, [oracle.verify_fixture(fid) for fid in ids], as_json)
+    ids = oracle.fixture_ids() if args.fixture is None else [args.fixture]
+    return _oracle_report(None, [oracle.verify_fixture(fid) for fid in ids], args.json)
 
 
 @functools.cache  # parse_args leaves the parser as it is, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of each subcommand: its arguments, and its handler as ``run``."""
     parser = argparse.ArgumentParser(
         prog="negset", description="negotiation-set algebra toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, summary in (("eval", "run a session script"),
-                          ("check", "DISC verdicts for every agent and binding")):
-        p_script = sub.add_parser(name, help=summary)
+    commands = {
+        cmd_eval: sub.add_parser("eval", help="run a session script"),
+        cmd_check: sub.add_parser("check", help="DISC verdicts for every agent and binding"),
+        cmd_laws: sub.add_parser("laws", help="exhaustive law sweeps"),
+        cmd_fixtures: sub.add_parser("fixtures", help="re-derive the worked examples"),
+    }
+    p_eval, p_check, p_laws, p_fix = commands.values()
+    for p_script in (p_eval, p_check):
         p_script.add_argument("path")
-        p_script.add_argument("--json", action="store_true")
-
-    p_laws = sub.add_parser("laws", help="exhaustive law sweeps")
     group = p_laws.add_mutually_exclusive_group(required=True)
     group.add_argument("--law", help="law id to check")
     group.add_argument("--all", action="store_true", dest="run_all")
     p_laws.add_argument("--size", type=int, default=None)
     p_laws.add_argument("--limit", type=int, default=5)
-    p_laws.add_argument("--json", action="store_true")
-
-    p_fix = sub.add_parser("fixtures", help="re-derive the worked examples")
     p_fix.add_argument("--fixture", default=None)
-    p_fix.add_argument("--json", action="store_true")
-
+    for run, p_command in commands.items():  # last, so help lists --json after the rest
+        p_command.add_argument("--json", action="store_true")
+        p_command.set_defaults(run=run)
     return parser
 
 
@@ -194,13 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; the one place where an error becomes its message and exit code."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "eval":
-            return cmd_eval(args.path, args.json)
-        if args.command == "check":
-            return cmd_check(args.path, args.json)
-        if args.command == "laws":
-            return cmd_laws(args.law, args.run_all, args.size, args.limit, args.json)
-        return cmd_fixtures(args.fixture, args.json)
+        return args.run(args)
     except (NegsetError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (ParseError, ValidationError, UnicodeDecodeError)):

@@ -228,10 +228,9 @@ def resolve_odot(
     """
     if not isinstance(policy, ResolutionPolicy):
         raise PolicyError(f"unknown policy: {policy!r}")
-    if not is_disc(a, spec):
-        raise InputNotDisc("left operand is not admitted to discussion")
-    if not is_disc(b, spec):
-        raise InputNotDisc("right operand is not admitted to discussion")
+    for side, operand in (("left", a), ("right", b)):
+        if not is_disc(operand, spec):
+            raise InputNotDisc(f"{side} operand is not admitted to discussion")
 
     result = odot(a, b)
     violations = disc_violations(result, spec)

@@ -244,6 +244,13 @@ class _Parser:
         self.expect_sym("=")
         return name
 
+    def negset_value(self, universe: Universe, sets: list, at: int, prefix="") -> NegotiationSet:
+        """The value of a literal's two name lists; an error in them is reported at ``at``."""
+        try:
+            return negset_of(universe, *sets)
+        except (NotDouble, UnknownObject) as exc:
+            raise self.invalid(f"{prefix}{exc}", at) from exc
+
     def parse_negset_literal(self) -> list[list[str]]:
         """A negotiation-set literal ``[{…} {…}]`` as its two raw name lists."""
         self.expect_sym("[")
@@ -384,15 +391,11 @@ def parse_session(text: str) -> SessionScript:
             index = universe._index
         elif keyword == "agent":
             name = p.binding("agent name", at)
-            nec, adm = p.parse_negset_literal()
+            sets = p.parse_negset_literal()
             p.end_line()
             if name in known_names:
                 raise p.invalid(f"duplicate name {name!r}", at)
-            try:
-                value = negset_of(universe, nec, adm)
-            except (NotDouble, UnknownObject) as exc:
-                raise p.invalid(f"agent {name}: {exc}", at) from exc
-            agents.append((name, value))
+            agents.append((name, p.negset_value(universe, sets, at, f"agent {name}: ")))
             known_names.add(name)
         elif keyword in runs:
             # a run of lines "kw x y" ("kw x > y" for dominance) is read at once
@@ -427,7 +430,7 @@ def parse_session(text: str) -> SessionScript:
             expr = p.parse_expr()
             if keyword == "expect":
                 p.expect_sym("=")
-                nec, adm = p.parse_negset_literal()
+                sets = p.parse_negset_literal()
             p.end_line()
             if name in known_names:
                 raise p.invalid(f"duplicate name {name!r}", at)
@@ -438,11 +441,7 @@ def parse_session(text: str) -> SessionScript:
                 statements.append(Let(name, expr))
                 known_names.add(name)
             elif keyword == "expect":
-                try:
-                    target = negset_of(universe, nec, adm)
-                except (NotDouble, UnknownObject) as exc:
-                    raise p.invalid(str(exc), at) from exc
-                statements.append(Expect(expr, target))
+                statements.append(Expect(expr, p.negset_value(universe, sets, at)))
             else:
                 statements.append((Eval if keyword == "eval" else AssertDisc)(expr))
 

@@ -361,8 +361,10 @@ class TestFixtures:
         assert "pass" in out
 
     def test_unknown(self):
-        assert run(["fixtures", "--fixture", "bogus"]) == (
-            4, "", "error: no such fixture: 'bogus'\n")
+        # an empty id names no fixture, as "laws --law ''" names no law
+        for fixture in ("bogus", ""):
+            assert run(["fixtures", "--fixture", fixture]) == (
+                4, "", f"error: no such fixture: {fixture!r}\n")
 
     def test_json(self):
         code, out, _ = run(["fixtures", "--json"])

@@ -12,10 +12,12 @@ the three-valued knowledge order).  A sweep over all 3^2 negotiation sets
 of a two-object universe therefore decides every law.  One object is not
 enough: the point lemmas need two distinct objects.  Sizes up to five,
 where every law ends, remain available as a cross-check.
-A sweep reads operator tables, built with core's mask arithmetic once per
-``laws`` command, and decides one keyed row of verdicts at a time: per first
-set, per ordered object pair, per DISC labeling, or per fold prefix, where
-every prefix with the same fold and accumulator yields one shared row.
+A ``laws`` command builds one size-n context, each part once and on first
+read: the universe, the sets, each object pair's DISC masks, and operator
+tables that map core's mask arithmetic over the sets' mask columns.  A sweep
+reads it and decides one keyed row of verdicts at a time: per first set, per
+ordered object pair, per DISC labeling, or per fold prefix, where every
+prefix with the same fold and accumulator yields one shared row.
 
 Laws expected to hold must report zero violations; refuted laws must
 surface at least one counterexample.  A fixture catalog re-derives every
@@ -28,7 +30,7 @@ halt reason it expects: none, or for ``disc-failure`` the strict policy's
 
 import time
 from functools import cache, cached_property, reduce
-from itertools import combinations, compress, count, islice, permutations, product
+from itertools import combinations, compress, count, islice, permutations, product, repeat
 from operator import eq, getitem, itemgetter, not_, or_
 
 from .core import (
@@ -83,23 +85,29 @@ class LawReport(Record):
 
 
 class LawSpec(Record):
-    """``cases(n, tables)`` gives a law's rows at size n, pairs (key, verdicts) with the
-    verdicts a list of booleans, and ``describe(key, k)``, the text of the row's k-th tuple."""
+    """``cases(n, t)`` gives a law's rows read from the size-n context t, pairs (key, verdicts)
+    with the verdicts a list of booleans, and ``describe(key, k)``, the row's k-th tuple's text."""
     __slots__ = _fields = ("law_id", "expects_counterexample", "cases")
 
 
 class _Tables:
-    """The sets of size n, numbered in ``enumerate_mask_pairs(n)`` order, and tables built
-    on first read: ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j,
-    ``ge`` is ``le`` transposed.  At n ≤ 5 a table has at most 243² = 59,049 entries."""
+    """The one size-n context of a ``laws`` command, each part built on first read and at
+    most once: the universe, the 3^n sets numbered in ``enumerate_mask_pairs(n)`` order
+    (as ``pairs``, as ``sets`` and as bit k of ``bits``), ``disc_masks``, and the tables:
+    ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j, ``ge`` is
+    ``le`` transposed.  At n ≤ 5 a table has at most 243² = 59,049 entries."""
 
     def __init__(self, n):
         self.pairs, self.full = enumerate_mask_pairs(n), (1 << n) - 1
 
+    universe = cached_property(lambda self: default_universe(self.full.bit_length()))
+    sets = cached_property(lambda self: enumerate_negsets(self.universe))
+    bits = cached_property(lambda self: [1 << k for k in range(len(self.pairs))])
     _number = cached_property(lambda self: {a: i for i, a in enumerate(self.pairs)})
 
     def _binary(self, op):
-        return [[self._number[op(*a, *b)] for b in self.pairs] for a in self.pairs]
+        number, (necs, adms) = self._number.__getitem__, zip(*self.pairs)
+        return [list(map(number, map(op, repeat(n), repeat(a), necs, adms))) for n, a in self.pairs]
 
     odot = cached_property(lambda self: self._binary(odot_masks))
     oplus = cached_property(lambda self: self._binary(oplus_masks))
@@ -111,13 +119,21 @@ class _Tables:
                                        for n, a in self.pairs])
     ge = cached_property(lambda self: list(map(list, zip(*self.le))))
 
+    def _not_disc(self, *relations):  # bit k: set k is not DISC under these relations
+        spec = make_contradiction_spec(self.universe, *relations)
+        return sum(b for b, a in zip(self.bits, self.sets) if not is_disc(a, spec))
+
+    # per object pair, in combinations order, the sets it bars as none, strong or weak
+    disc_masks = cached_property(lambda self: [(0, self._not_disc([p]), self._not_disc((), [p]))
+                                               for p in combinations(self.universe.objects, 2)])
+
 
 def _sweep(arity, rows):
     """Cases of a law over ``arity`` sets A, B, C: ``rows(t)``, the verdicts read from the
     tables t, one row per first set A, keyed by its number; entry k is B = k, or (B, C) =
     divmod(k, s) over s sets."""
     def cases(n, t):
-        fmt, s = default_universe(n).format_masks, len(t.pairs)
+        fmt, s = t.universe.format_masks, len(t.pairs)
 
         def describe(a, k):
             sets = (a, *divmod(k, s)[3 - arity:])  # B and C from k, as far as arity
@@ -177,7 +193,7 @@ def _bounds(rel, bound, op):
 
 def _points(n, t):
     """Both point lemmas for each ordered pair of distinct objects and grades."""
-    u, grade = default_universe(n), ("0.5", "1")
+    u, grade = t.universe, ("0.5", "1")
     objects, grades = list(permutations(range(n), 2)), list(product((0, 1), repeat=2))
 
     def holds(x, y, gx, gy):
@@ -197,21 +213,13 @@ def _disc_law(op, weak_only=False):
     (at most 243² at n = 5); verdicts: A op B is DISC, under the weak pairs alone if
     ``weak_only``.  Each DISC violation is one contradictory pair, so a set is DISC under
     a labeling iff it is DISC under each labeled pair alone: a labeling's non-DISC sets
-    are the union of its pairs' masks, each found once with ``is_disc``."""
+    are the union of its pairs' masks, ``t.disc_masks``, found once per command."""
     def cases(n, t):
-        u, table, bits = default_universe(n), getattr(t, op), [1 << k for k in range(3 ** n)]
-        sets, pairs = enumerate_negsets(u), list(combinations(range(n), 2))
-
-        def not_disc(*relations):  # bit k: set k is not DISC under these relations
-            spec = make_contradiction_spec(u, *relations)
-            return sum(b for b, a in zip(bits, sets) if not is_disc(a, spec))
-
-        # per pair, the sets it bars as none, strong or weak; the weak judge reads weak only
-        masks = [(0, not_disc([p]), not_disc((), [p])) for p in combinations(u.objects, 2)]
+        table, bits, sets, masks = getattr(t, op), t.bits, t.sets, t.disc_masks
         judges = [(0, 0, weak) for _, _, weak in masks] if weak_only else masks
 
         def rows():
-            for labels in product(range(3), repeat=len(pairs)):  # none, strong or weak
+            for labels in product(range(3), repeat=len(masks)):  # none, strong or weak
                 bad, judge = (reduce(or_, map(getitem, m, labels), 0) for m in (masks, judges))
                 d = [k for k, b in enumerate(bits) if not bad & b]
                 ok = [not judge & b for b in bits]
@@ -219,7 +227,8 @@ def _disc_law(op, weak_only=False):
 
         def describe(key, k):
             (labels, d), (a, b) = key, divmod(k, len(key[1]))
-            strong, weak = ([p for p, x in zip(pairs, labels) if x == kind] for kind in (1, 2))
+            strong, weak = ([p for p, x in zip(combinations(range(n), 2), labels) if x == kind]
+                            for kind in (1, 2))
             return f"A={sets[d[a]]} B={sets[d[b]]} strong={strong} weak={weak}"
 
         return rows(), describe
@@ -243,7 +252,7 @@ def _fold(op, grow, done=list):
     ``grow(acc, pairs)`` extends the prefix by each set, ``done`` ends a row.  A row depends
     on the prefix's fold x and accumulator acc only, so each distinct (x, acc) builds one."""
     def cases(n, t):
-        u, table, pairs = default_universe(n), getattr(t, op), t.pairs
+        u, table, pairs = t.universe, getattr(t, op), t.pairs
         sets = range(len(pairs))
 
         @cache
@@ -309,8 +318,8 @@ def validate(n: int, limit: int) -> None:
 
 def check_law(law_id: str, n: int = DECIDING_SIZE, *, limit: int = 5,
               tables: _Tables | None = None) -> LawReport:
-    """Sweep one law over every case at size n; the sweeps of one command may share
-    ``tables``, unless built for another size."""
+    """Sweep one law over every case at size n, reading ``tables``, the size-n context
+    that the sweeps of one command share; without it, or with another size's, build one."""
     try:
         law = LAWS[law_id]
     except KeyError:

@@ -1,11 +1,13 @@
 import contextlib
 import io
+import json
 import time
 import tracemalloc
 from collections import defaultdict
 from functools import reduce
 from itertools import combinations, permutations, product
-from operator import eq
+from operator import eq, getitem, or_
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from negset.errors import (
     NegativeLimit, NegsetError, SizeOutOfRange, UnknownFixture, UnknownLaw)
 from refimpl import as_pair, ref_complement, ref_odot, ref_oplus
 
+GOLDEN_SIZE5 = Path(__file__).resolve().parent / "golden_laws_size5.json"
 A, B, E, U = (0, 1), (0, 2), (0, 0), (3, 3)  # [{} {a}], [{} {b}], [∅ ∅] and [U U] at n = 2
 
 
@@ -415,6 +418,41 @@ class TestTables:
             assert calls == {"odot": (rounds + 1) * sweeps["odot"] + rounds * 81,
                              "oplus": (rounds + 1) * sweeps["oplus"] + rounds * 81,
                              "complement": (rounds + 1) * sweeps["complement"] + rounds * 9}
+
+    def test_one_size_n_context_per_laws_command(self, monkeypatch):
+        # a laws command builds one universe and, for both DISC laws together, one
+        # spec per object pair and kind: 2·C(2, 2) = 2 at n = 2; a second command
+        # builds its own, and a command without a DISC law builds no spec
+        calls = {"default_universe": 0, "make_contradiction_spec": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(oracle, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(oracle, name, counted)
+        for rounds in (1, 2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["laws", "--all", "--json"]) == 0
+            assert calls == {"default_universe": rounds, "make_contradiction_spec": 2 * rounds}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["laws", "--law", "idempotence-odot"]) == 0
+        assert calls == {"default_universe": 3, "make_contradiction_spec": 4}
+
+    @pytest.mark.parametrize("n, checked", [(1, 9), (2, 142), (3, 4796), (4, 392436),
+                                            (5, 83275686)])
+    def test_disc_laws_check_what_the_pair_masks_count(self, n, checked):
+        # a DISC law checks |D_L|² pairs per labeling L, D_L the sets that no mask of
+        # L's labeled pairs bars: the sum is counted from popcounts, without a sweep
+        t = oracle._Tables(n)
+        every = (1 << len(t.pairs)) - 1
+        counted = sum((every & ~reduce(or_, map(getitem, t.disc_masks, labels), 0)).bit_count() ** 2
+                      for labels in product(range(3), repeat=len(t.disc_masks)))
+        disc_laws = ("disc-closure-oplus", "disc-odot-weak-partial")
+        if n < 5:
+            sweeps = [oracle.check_law(law, n, tables=t).checked for law in disc_laws]
+        else:  # from the recorded size-5 report: the two sweeps take about 10 s
+            golden = json.loads(GOLDEN_SIZE5.read_text(encoding="utf-8"))["doc"]["laws"]
+            sweeps = [law["checked"] for law in golden if law["law"] in disc_laws]
+        assert sweeps == [counted, counted] and counted == checked
 
     def test_check_law_without_tables_builds_its_own(self, monkeypatch):
         built = []

@@ -38,7 +38,7 @@ EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by
 
 def _load_script(path: str) -> SessionScript:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a leading byte-order mark is no text
             text = handle.read()
     except OSError as exc:
         raise ScriptUnreadable(exc) from exc

@@ -1,8 +1,27 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error survives ``pickle``, ``copy.copy`` and ``copy.deepcopy`` as itself,
+so it also crosses a process boundary."""
 
 
 class NegsetError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  A subclass with values names them
+    once, as ``_fields``, and its text as ``_message``, a ``str.format`` template over them:
+    it is built from the values in order, keeps each as an attribute and is rebuilt from them
+    by pickle and copy, notes included.  One that writes its own text sets ``_fields`` only."""
+
+    _fields: tuple[str, ...] = ()
+    _message: str | None = None
+
+    def __init__(self, *values):
+        if self._message is not None:
+            self.__dict__.update(zip(self._fields, values, strict=True))
+            values = (self._message.format_map(self.__dict__),)
+        super().__init__(*values)
+
+    def __reduce__(self):
+        values = tuple(map(self.__getattribute__, self._fields)) if self._fields else self.args
+        return self.__class__, values, self.__dict__
 
 
 class EmptyUniverse(NegsetError):
@@ -10,21 +29,15 @@ class EmptyUniverse(NegsetError):
 
 
 class DuplicateName(NegsetError):
-    def __init__(self, name):
-        super().__init__(f"duplicate object name: {name!r}")
-        self.name = name
+    _fields, _message = ("name",), "duplicate object name: {name!r}"
 
 
 class InvalidName(NegsetError):
-    def __init__(self, name):
-        super().__init__(f"invalid object name: {name!r}")
-        self.name = name
+    _fields, _message = ("name",), "invalid object name: {name!r}"
 
 
 class UnknownObject(NegsetError):
-    def __init__(self, name):
-        super().__init__(f"object not in universe: {name!r}")
-        self.name = name
+    _fields, _message = ("name",), "object not in universe: {name!r}"
 
 
 class NotDouble(NegsetError):
@@ -40,15 +53,12 @@ class EmptyFamily(NegsetError):
 
 
 class ReflexivePair(NegsetError):
-    def __init__(self, name):
-        super().__init__(f"contradiction pair may not be reflexive: ({name}, {name})")
-        self.name = name
+    _fields, _message = ("name",), "contradiction pair may not be reflexive: ({name}, {name})"
 
 
 class OverlappingKinds(NegsetError):
-    def __init__(self, x, y):
-        super().__init__(f"pair ({x}, {y}) declared both strongly and weakly contradictory")
-        self.pair = (x, y)
+    _fields, _message = ("x", "y"), "pair ({x}, {y}) declared both strongly and weakly contradictory"
+    pair = property(lambda self: (self.x, self.y))
 
 
 class DominanceNotStrictOrder(NegsetError):
@@ -64,28 +74,19 @@ class PolicyError(NegsetError):
 
 
 class SizeOutOfRange(NegsetError):
-    def __init__(self, size, high):
-        super().__init__(f"universe size {size} out of range 1..{high}")
-        self.size = size
-        self.high = high
+    _fields, _message = ("size", "high"), "universe size {size} out of range 1..{high}"
 
 
 class UnknownFixture(NegsetError):
-    def __init__(self, fixture_id):
-        super().__init__(f"no such fixture: {fixture_id!r}")
-        self.fixture_id = fixture_id
+    _fields, _message = ("fixture_id",), "no such fixture: {fixture_id!r}"
 
 
 class UnknownLaw(NegsetError):
-    def __init__(self, law_id):
-        super().__init__(f"no such law: {law_id!r}")
-        self.law_id = law_id
+    _fields, _message = ("law_id",), "no such law: {law_id!r}"
 
 
 class NegativeLimit(NegsetError):
-    def __init__(self, limit):
-        super().__init__(f"counterexample limit {limit} is negative")
-        self.limit = limit
+    _fields, _message = ("limit",), "counterexample limit {limit} is negative"
 
 
 class ScriptUnreadable(NegsetError):

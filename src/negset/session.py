@@ -67,11 +67,7 @@ KEYWORDS = {*_STATEMENTS, "not", *BINARY_OPS}
 
 
 class ParseError(NegsetError):
-    def __init__(self, line: int, col: int, message: str):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-        self.reason = message
+    _fields, _message = ("line", "col", "reason"), "{line}:{col}: {reason}"
 
 
 class ValidationError(NegsetError):
@@ -81,12 +77,12 @@ class ValidationError(NegsetError):
 
 
 class UnboundName(NegsetError):
-    def __init__(self, name: str):
-        super().__init__(f"unbound name: {name}")
-        self.name = name
+    _fields, _message = ("name",), "unbound name: {name}"
 
 
 class ResolutionFailed(NegsetError):
+    _fields = ("reason", "pairs")  # no _message: the text lists the pairs only when there are any
+
     def __init__(self, reason: str, pairs: tuple[tuple[str, str], ...]):
         detail = ", ".join(f"({x}, {y})" for x, y in pairs)
         super().__init__(f"resolution failed: {reason}" + (f" [{detail}]" if detail else ""))
@@ -191,7 +187,8 @@ _FIXED_POLICIES = {p.name: p for p in (Strict(), ObjectDominance(), FewestNecess
 
 
 class _Parser:
-    """Reads one window of tokens at a time; positions are worked out only for an error."""
+    """Reads one window of tokens at a time.  An error is placed, only when it is raised, by
+    its token's index in the whole text: ``offset + pos`` for token ``pos`` of the window."""
 
     def __init__(self, text: str):
         self.code, self.windows = _lex(text)
@@ -207,7 +204,7 @@ class _Parser:
         return _line_col(self.code, match.start())
 
     def fail(self, message: str, index: int | None = None) -> ParseError:
-        line, col = self.position(self.offset + (self.pos if index is None else index))
+        line, col = self.position(self.offset + self.pos if index is None else index)
         return ParseError(line, col, message)
 
     def invalid(self, message: str, index: int) -> ValidationError:
@@ -299,7 +296,7 @@ class _Parser:
                 self.pos = pos
                 raise self.expected("expression")
             if token in KEYWORDS:
-                raise self.fail(f"keyword {token!r} cannot be used as a name", pos)
+                raise self.fail(f"keyword {token!r} cannot be used as a name", self.offset + pos)
             program.append(token)
             pos += 1
             while True:  # a term is complete; a closing group completes one more
@@ -331,7 +328,7 @@ class _Parser:
                 nots, waiting = group[2], group[3]
 
     def parse_policy(self) -> ResolutionPolicy:
-        start = self.pos
+        start = self.offset + self.pos
         name = self.expect_name("policy name")
         if name == "agent-priority":
             ranking = [self.expect_name("agent name")]

@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import os
@@ -153,6 +154,29 @@ class TestCheck:
             got, out, err = run([command, str(path)])
             assert (got, out) == (code, "")
             assert err.startswith(message)
+
+
+class TestByteOrderMark:
+    """A script saved with a leading UTF-8 byte-order mark, as some editors
+    write it, reads as the same script; a mark anywhere else is a stray
+    character."""
+
+    @pytest.mark.parametrize("argv", [["eval"], ["eval", "--json"], ["check"], ["check", "--json"]])
+    def test_marked_copy_runs_as_the_plain_file(self, tmp_path, argv):
+        path = tmp_path / "trip.ns"
+        path.write_bytes(codecs.BOM_UTF8 + (SESSIONS / "trip.ns").read_bytes())
+        assert run([*argv, str(path)]) == run([*argv, str(SESSIONS / "trip.ns")])
+
+    @pytest.mark.parametrize("text,message", [
+        ("universe a b\n\ufeffagent A = [{a} {a}]\n", "2:1: unexpected character '\\ufeff'"),
+        ("universe a\ufeff b\n", "1:11: unexpected character '\\ufeff'"),
+        ("\ufeffuniverse a\n", "1:1: unexpected character '\\ufeff'"),
+    ], ids=["line-start", "inside-a-line", "second-mark"])
+    def test_a_later_mark_is_a_stray_character(self, tmp_path, text, message):
+        path = tmp_path / "script.ns"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        for command in ("eval", "check"):
+            assert run([command, str(path)]) == (2, "", f"error: {message}\n")
 
 
 class TestCheckJson:

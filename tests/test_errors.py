@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negset import cli
+from negset import cli, session
 from negset.session import _STATEMENTS, ParseError, ValidationError, parse_session, print_session
 
 U = "universe a b c\nagent A = [{a} {a b}]\nagent B = [{b} {b c}]\n"
@@ -133,6 +133,21 @@ def test_error_line(tmp_path, text, message):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, str(path)])
         assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("window", [0, 5, 17, 64])
+def test_error_line_does_not_depend_on_the_window(tmp_path, monkeypatch, window):
+    """The parser reads a few lines at a time and reports every error at a
+    token's index in the whole text, so each case gives the same error line
+    whatever the window size: with 0, every line is a window of its own."""
+    monkeypatch.setattr(session, "_WINDOW", window)
+    path = tmp_path / "script.ns"
+    for name, text, message in CASES:
+        path.write_bytes(text.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["eval", str(path)])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n"), name
 
 
 def test_carriage_return_inside_a_line_is_space():

@@ -13,11 +13,17 @@ of a two-object universe therefore decides every law.  One object is not
 enough: the point lemmas need two distinct objects.  Sizes up to five,
 where every law ends, remain available as a cross-check.
 A ``laws`` command builds one size-n context, each part once and on first
-read: the universe, the sets, each object pair's DISC masks, and operator
-tables that map core's mask arithmetic over the sets' mask columns.  A sweep
-reads it and decides one keyed row of verdicts at a time: per first set, per
+read: the universe, the sets, each object pair's DISC masks, operator tables
+that map core's mask arithmetic over the sets' mask columns, and their byte
+forms; a set number is below 3^5 = 243, so it fits in one byte.  A sweep
+reads it and yields one keyed row at a time, two byte strings got and want
+of one length, verdict k holding iff got[k] == want[k]: per first set, per
 ordered object pair, per DISC labeling, or per fold prefix, where every
 prefix with the same fold and accumulator yields one shared row.
+Commutativity, absorption, associativity and distributivity build both sides
+from table rows with ``bytes.join`` and ``bytes.translate``, the bounds laws
+AND 0/1 inclusion rows read as ints, and the rest give 0/1 verdicts against
+a row of ones.
 
 Laws expected to hold must report zero violations; refuted laws must
 surface at least one counterexample.  A fixture catalog re-derives every
@@ -30,8 +36,8 @@ halt reason it expects: none, or for ``disc-failure`` the strict policy's
 
 import time
 from functools import cache, cached_property, reduce
-from itertools import combinations, compress, count, islice, permutations, product, repeat
-from operator import eq, getitem, itemgetter, not_, or_
+from itertools import chain, combinations, compress, count, islice, permutations, product, repeat
+from operator import eq, getitem, itemgetter, or_
 
 from .core import (
     NegotiationSet,
@@ -85,8 +91,9 @@ class LawReport(Record):
 
 
 class LawSpec(Record):
-    """``cases(n, t)`` gives a law's rows read from the size-n context t, pairs (key, verdicts)
-    with the verdicts a list of booleans, and ``describe(key, k)``, the row's k-th tuple's text."""
+    """``cases(n, t)`` gives a law's rows read from the size-n context t, triples (key, got,
+    want) of two byte strings of one length, verdict k holding iff got[k] == want[k], and
+    ``describe(key, k)``, the row's k-th tuple's text."""
     __slots__ = _fields = ("law_id", "expects_counterexample", "cases")
 
 
@@ -95,13 +102,16 @@ class _Tables:
     most once: the universe, the 3^n sets numbered in ``enumerate_mask_pairs(n)`` order
     (as ``pairs``, as ``sets`` and as bit k of ``bits``), ``disc_masks``, and the tables:
     ``odot[i][j]`` numbers set i odot set j, ``le[i][j]`` is set i ⊆ set j, ``ge`` is
-    ``le`` transposed.  At n ≤ 5 a table has at most 243² = 59,049 entries."""
+    ``le`` transposed.  At n ≤ 5 a table has at most 243² = 59,049 entries.  ``odot_bytes``
+    and the like are a table's byte forms: its rows as ``bytes``, each row padded to 256
+    bytes as a ``bytes.translate`` table, and the rows joined, entry i·s + j."""
 
     def __init__(self, n):
         self.pairs, self.full = enumerate_mask_pairs(n), (1 << n) - 1
 
     universe = cached_property(lambda self: default_universe(self.full.bit_length()))
     sets = cached_property(lambda self: enumerate_negsets(self.universe))
+    texts = cached_property(lambda self: list(map(str, self.sets)))
     bits = cached_property(lambda self: [1 << k for k in range(len(self.pairs))])
     _number = cached_property(lambda self: {a: i for i, a in enumerate(self.pairs)})
 
@@ -127,25 +137,32 @@ class _Tables:
     disc_masks = cached_property(lambda self: [(0, self._not_disc([p]), self._not_disc((), [p]))
                                                for p in combinations(self.universe.objects, 2)])
 
+    def _bytes(self, name):
+        rows = list(map(bytes, getattr(self, name)))
+        return rows, [row + bytes(256 - len(rows)) for row in rows], b"".join(rows)
+
+    odot_bytes, oplus_bytes, le_bytes, ge_bytes = (cached_property(
+        lambda self, name=name: self._bytes(name)) for name in ("odot", "oplus", "le", "ge"))
+
 
 def _sweep(arity, rows):
-    """Cases of a law over ``arity`` sets A, B, C: ``rows(t)``, the verdicts read from the
-    tables t, one row per first set A, keyed by its number; entry k is B = k, or (B, C) =
-    divmod(k, s) over s sets."""
+    """Cases of a law over ``arity`` sets A, B, C: ``rows(t)``, the pairs (got, want) read
+    from the context t, one per first set A, keyed by its number; entry k is B = k, or
+    (B, C) = divmod(k, s) over s sets."""
     def cases(n, t):
-        fmt, s = t.universe.format_masks, len(t.pairs)
+        s = len(t.pairs)
 
         def describe(a, k):
             sets = (a, *divmod(k, s)[3 - arity:])  # B and C from k, as far as arity
-            return " ".join(f"{name}={fmt(*t.pairs[i])}" for name, i in zip("ABC", sets))
+            return " ".join(f"{name}={t.texts[i]}" for name, i in zip("ABC", sets))
 
-        return enumerate(rows(t)), describe
+        return ((a, *row) for a, row in enumerate(rows(t))), describe
 
     return cases
 
 
 def _each(holds):
-    return _sweep(1, lambda t: ([holds(t.full, a)] for a in t.pairs))
+    return _sweep(1, lambda t: ((bytes((holds(t.full, a),)), b"\1") for a in t.pairs))
 
 
 def _identity(full, a):
@@ -156,23 +173,27 @@ def _identity(full, a):
 
 
 def _commutes(op):
-    return ([x == y for x, y in zip(row, map(itemgetter(a), op))] for a, row in enumerate(op))
+    rows = op[0]  # row A: A op B against its column, B op A
+    return zip(rows, map(bytes, zip(*rows)))
 
 
 def _absorbs(outer, inner):
-    return ([outer[a][x] == a for x in inner[a]] for a in range(len(outer)))
+    # row A: A outer (A inner B) against A
+    return ((row.translate(tr), bytes((a,)) * len(row))
+            for a, (row, tr) in enumerate(zip(inner[0], outer[1])))
 
 
 def _associates(op):
     # row A: (A op B) op C against A op (B op C)
-    return ([x == oa[y] for ab, b in zip(map(op.__getitem__, oa), op) for x, y in zip(ab, b)]
-            for oa in op)
+    rows, tr, flat = op
+    return ((b"".join(map(rows.__getitem__, oa)), flat.translate(ta)) for oa, ta in zip(rows, tr))
 
 
 def _distributes(outer, inner):
     # row A: A outer (B inner C) against (A outer B) inner (A outer C)
-    return ([oa[x] == ab[y] for b, ab in zip(inner, map(inner.__getitem__, oa))
-             for x, y in zip(b, oa)] for oa in outer)
+    (rows, tr, _), (_, inner_tr, inner_flat) = outer, inner
+    return ((inner_flat.translate(ta), b"".join(map(oa.translate, map(inner_tr.__getitem__, oa))))
+            for oa, ta in zip(rows, tr))
 
 
 def _demorgan(t, inner, dual, m, below):
@@ -180,15 +201,20 @@ def _demorgan(t, inner, dual, m, below):
     c, masks = t.complement, [pair[m] for pair in t.pairs]
     left = [masks[i] if below else ~masks[i] for i in c]
     right = [~x if below else x for x in masks]
-    return ([not left[x] & right[y] for x, y in zip(row, map(dual[c[a]].__getitem__, c))]
-            for a, row in enumerate(inner))
+    return ((bytes([not left[x] & right[y] for x, y in zip(row, map(dual[c[a]].__getitem__, c))]),
+             b"\1" * len(row)) for a, row in enumerate(inner))
 
 
 def _bounds(rel, bound, op):
-    """A1 ⊑ B and A2 ⊑ B imply op(A1, A2) ⊑ bound(A1, A2) ⊑ B, for ⊑ the ⊆ or ⊇ of rel."""
-    return ([not (x and y) or (k and z) for r2, u, o in zip(rel, bound[a], op[a])
-             for k in (rel[o][u],) for x, y, z in zip(r1, r2, rel[u])]
-            for a, r1 in enumerate(rel))
+    """A1 ⊑ B and A2 ⊑ B imply op(A1, A2) ⊑ bound(A1, A2) ⊑ B, for ⊑ the ⊆ or ⊇ of rel:
+    row A1 over (A2, B), the premise's 0/1 bytes against themselves AND the conclusion's."""
+    rows, _, flat = rel
+    s, second, never = len(rows), int.from_bytes(flat, "big"), bytes(len(rows))
+    for r1, us, os in zip(rows, bound, op):
+        given = int.from_bytes(r1 * s, "big") & second
+        implied = int.from_bytes(b"".join(rows[u] if rows[o][u] else never
+                                          for u, o in zip(us, os)), "big")
+        yield (given & implied).to_bytes(s * s, "big"), given.to_bytes(s * s, "big")
 
 
 def _points(n, t):
@@ -204,7 +230,8 @@ def _points(n, t):
         (i, j), (gx, gy) = pair, grades[k]
         return f"x={u.objects[i]}({grade[gx]}) y={u.objects[j]}({grade[gy]})"
 
-    return (((i, j), [holds(1 << i, 1 << j, *g) for g in grades]) for i, j in objects), describe
+    return (((i, j), bytes([holds(1 << i, 1 << j, *g) for g in grades]), b"\1" * len(grades))
+            for i, j in objects), describe
 
 
 def _disc_law(op, weak_only=False):
@@ -215,21 +242,24 @@ def _disc_law(op, weak_only=False):
     a labeling iff it is DISC under each labeled pair alone: a labeling's non-DISC sets
     are the union of its pairs' masks, ``t.disc_masks``, found once per command."""
     def cases(n, t):
-        table, bits, sets, masks = getattr(t, op), t.bits, t.sets, t.disc_masks
+        table, bits, masks = getattr(t, op), t.bits, t.disc_masks
         judges = [(0, 0, weak) for _, _, weak in masks] if weak_only else masks
+        pad = bytes(256 - len(bits))
 
         def rows():
             for labels in product(range(3), repeat=len(masks)):  # none, strong or weak
                 bad, judge = (reduce(or_, map(getitem, m, labels), 0) for m in (masks, judges))
                 d = [k for k, b in enumerate(bits) if not bad & b]
-                ok = [not judge & b for b in bits]
-                yield (labels, d), [ok[table[a][b]] for a in d for b in d]
+                ok = bytes([not judge & b for b in bits]) + pad
+                pick = itemgetter(*d)  # a tuple: d holds the 1 + 2n sets admitting ≤ 1 object
+                got = bytes(chain.from_iterable(map(pick, map(table.__getitem__, d)))).translate(ok)
+                yield (labels, d), got, b"\1" * len(got)
 
         def describe(key, k):
             (labels, d), (a, b) = key, divmod(k, len(key[1]))
             strong, weak = ([p for p, x in zip(combinations(range(n), 2), labels) if x == kind]
                             for kind in (1, 2))
-            return f"A={sets[d[a]]} B={sets[d[b]]} strong={strong} weak={weak}"
+            return f"A={t.texts[d[a]]} B={t.texts[d[b]]} strong={strong} weak={weak}"
 
         return rows(), describe
 
@@ -252,23 +282,22 @@ def _fold(op, grow, done=list):
     ``grow(acc, pairs)`` extends the prefix by each set, ``done`` ends a row.  A row depends
     on the prefix's fold x and accumulator acc only, so each distinct (x, acc) builds one."""
     def cases(n, t):
-        u, table, pairs = t.universe, getattr(t, op), t.pairs
-        sets = range(len(pairs))
+        table, pairs = getattr(t, op), t.pairs
+        sets, ones = range(len(pairs)), b"\1" * len(pairs)
 
         @cache
         def row(x, acc):
-            return list(map(eq, map(pairs.__getitem__, table[x]), done(grow(acc, pairs))))
+            return bytes(map(eq, map(pairs.__getitem__, table[x]), done(grow(acc, pairs))))
 
         def rows():
-            yield (), list(map(eq, pairs, done(pairs)))
+            yield (), bytes(map(eq, pairs, done(pairs))), ones
+            yield from zip(zip(sets), map(row, sets, pairs), repeat(ones))
             for a in sets:
-                yield (a,), row(a, pairs[a])
-            for a in sets:
-                for b, ab, acc_ab in zip(sets, table[a], grow(pairs[a], pairs)):
-                    yield (a, b), row(ab, acc_ab)
+                yield from zip(zip(repeat(a), sets), map(row, table[a], grow(pairs[a], pairs)),
+                               repeat(ones))
 
         def describe(prefix, k):
-            return " ".join(u.format_masks(*pairs[i]) for i in (*prefix, k))
+            return " ".join(t.texts[i] for i in (*prefix, k))
 
         return rows(), describe
 
@@ -281,20 +310,22 @@ LAWS: dict[str, LawSpec] = {law: LawSpec(law, expected, cases) for law, expected
     ("complement-involution", False, _each(
         lambda full, a: complement_masks(full, *complement_masks(full, *a)) == a)),
     ("identity-lemmas", False, _each(_identity)),
-    ("commutativity-odot", False, _sweep(2, lambda t: _commutes(t.odot))),
-    ("commutativity-oplus", False, _sweep(2, lambda t: _commutes(t.oplus))),
-    ("absorption-oplus-odot", False, _sweep(2, lambda t: _absorbs(t.oplus, t.odot))),
-    ("absorption-odot-oplus", True, _sweep(2, lambda t: _absorbs(t.odot, t.oplus))),
+    ("commutativity-odot", False, _sweep(2, lambda t: _commutes(t.odot_bytes))),
+    ("commutativity-oplus", False, _sweep(2, lambda t: _commutes(t.oplus_bytes))),
+    ("absorption-oplus-odot", False, _sweep(2, lambda t: _absorbs(t.oplus_bytes, t.odot_bytes))),
+    ("absorption-odot-oplus", True, _sweep(2, lambda t: _absorbs(t.odot_bytes, t.oplus_bytes))),
     ("demorgan-weak-1", False, _sweep(2, lambda t: _demorgan(t, t.odot, t.oplus, 0, True))),
     ("demorgan-weak-2", False, _sweep(2, lambda t: _demorgan(t, t.odot, t.oplus, 1, False))),
     ("demorgan-weak-3", False, _sweep(2, lambda t: _demorgan(t, t.oplus, t.odot, 0, False))),
     ("demorgan-weak-4", False, _sweep(2, lambda t: _demorgan(t, t.oplus, t.odot, 1, True))),
-    ("associativity-odot", False, _sweep(3, lambda t: _associates(t.odot))),
-    ("associativity-oplus", False, _sweep(3, lambda t: _associates(t.oplus))),
-    ("distributivity-oplus-over-odot", True, _sweep(3, lambda t: _distributes(t.oplus, t.odot))),
-    ("distributivity-odot-over-oplus", True, _sweep(3, lambda t: _distributes(t.odot, t.oplus))),
-    ("bounds-upper", False, _sweep(3, lambda t: _bounds(t.le, t.union, t.odot))),
-    ("bounds-lower", False, _sweep(3, lambda t: _bounds(t.ge, t.inter, t.oplus))),
+    ("associativity-odot", False, _sweep(3, lambda t: _associates(t.odot_bytes))),
+    ("associativity-oplus", False, _sweep(3, lambda t: _associates(t.oplus_bytes))),
+    ("distributivity-oplus-over-odot", True, _sweep(
+        3, lambda t: _distributes(t.oplus_bytes, t.odot_bytes))),
+    ("distributivity-odot-over-oplus", True, _sweep(
+        3, lambda t: _distributes(t.odot_bytes, t.oplus_bytes))),
+    ("bounds-upper", False, _sweep(3, lambda t: _bounds(t.le_bytes, t.union, t.odot))),
+    ("bounds-lower", False, _sweep(3, lambda t: _bounds(t.ge_bytes, t.inter, t.oplus))),
     ("point-lemmas", False, _points),
     ("fold-agreement-odot", False, _fold("odot", _odot_grow)),
     ("fold-agreement-oplus", False, _fold(
@@ -319,7 +350,9 @@ def validate(n: int, limit: int) -> None:
 def check_law(law_id: str, n: int = DECIDING_SIZE, *, limit: int = 5,
               tables: _Tables | None = None) -> LawReport:
     """Sweep one law over every case at size n, reading ``tables``, the size-n context
-    that the sweeps of one command share; without it, or with another size's, build one."""
+    that the sweeps of one command share; without it, or with another size's, build one.
+    A row costs one compare of its two sides; only a row that differs has its violations
+    counted, from the XOR of both sides read as ints, and the first ``limit`` found."""
     try:
         law = LAWS[law_id]
     except KeyError:
@@ -330,12 +363,16 @@ def check_law(law_id: str, n: int = DECIDING_SIZE, *, limit: int = 5,
         tables = _Tables(n)
     rows, describe = law.cases(n, tables)
     checked, total, examples = 0, 0, []
-    for key, row in rows:
-        checked += len(row)
-        wrong = row.count(False)  # every verdict is a bool
+    for key, got, want in rows:
+        checked += len(got)
+        if got == want:
+            continue
+        # a byte of the XOR is 0 where the verdict holds
+        diff = (int.from_bytes(got, "big") ^ int.from_bytes(want, "big")).to_bytes(len(got), "big")
+        wrong = len(got) - diff.count(0)
         total += wrong
-        if wrong and len(examples) < limit:
-            at = compress(count(), map(not_, row))  # the positions of the violations
+        if len(examples) < limit:
+            at = compress(count(), diff)  # the positions of the violations
             examples += [describe(key, k) for k in islice(at, min(limit - len(examples), wrong))]
     elapsed = time.perf_counter() - start
     verdict = COUNTEREXAMPLES if total else HOLDS

@@ -420,8 +420,8 @@ class TestTables:
                              "complement": (rounds + 1) * sweeps["complement"] + rounds * 9}
 
     def test_one_size_n_context_per_laws_command(self, monkeypatch):
-        # a laws command builds one universe and, for both DISC laws together, one
-        # spec per object pair and kind: 2·C(2, 2) = 2 at n = 2; a second command
+        # a laws command builds at most one universe and, for both DISC laws together,
+        # one spec per object pair and kind: 2·C(2, 2) = 2 at n = 2; a second command
         # builds its own, and a command without a DISC law builds no spec
         calls = {"default_universe": 0, "make_contradiction_spec": 0}
         for name in calls:
@@ -433,9 +433,12 @@ class TestTables:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["laws", "--all", "--json"]) == 0
             assert calls == {"default_universe": rounds, "make_contradiction_spec": 2 * rounds}
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["laws", "--law", "idempotence-odot"]) == 0
-        assert calls == {"default_universe": 3, "make_contradiction_spec": 4}
+        # a law that holds over one set needs no universe; one that shows counterexamples
+        # builds it for their text
+        for law, universes in (("idempotence-odot", 2), ("absorption-odot-oplus", 3)):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["laws", "--law", law]) == 0
+            assert calls == {"default_universe": universes, "make_contradiction_spec": 4}
 
     @pytest.mark.parametrize("n, checked", [(1, 9), (2, 142), (3, 4796), (4, 392436),
                                             (5, 83275686)])
@@ -486,9 +489,12 @@ class TestTables:
     @pytest.mark.parametrize("law", oracle.law_ids())
     def test_each_verdict_describes_its_own_tuple(self, law, n):
         # every position of every row names one tuple, none twice, and the
-        # positions are what check_law counts
+        # positions are what check_law counts; a row's two sides are bytes of one length
         rows, describe = oracle.LAWS[law].cases(n, oracle._Tables(n))
-        texts = [describe(key, k) for key, row in rows for k in range(len(row))]
+        texts = []
+        for key, got, want in rows:
+            assert type(got) is type(want) is bytes and len(got) == len(want)
+            texts += [describe(key, k) for k in range(len(got))]
         assert len(set(texts)) == len(texts) == oracle.check_law(law, n).checked
 
     @pytest.mark.parametrize("law", ["associativity-odot", "fold-agreement-oplus",
@@ -496,9 +502,11 @@ class TestTables:
     def test_a_sweep_holds_one_row_at_a_time(self, law):
         # 81 sets at n = 4: the verdicts would take over 2 MB as one list (the
         # sweeps over three sets check 81³ = 531,441, disc-closure-oplus
-        # 392,436); a DISC law's row per labeling holds at most 81² of them,
-        # and the oplus fold law its 4^4 + 1 distinct rows of 81 (about 0.24 MB)
+        # 392,436); a row (key, got, want) holds two byte strings of 81² bytes
+        # at most, and the oplus fold law keeps its 4^4 + 1 distinct rows of 81
         oracle.check_law(law, 4, tables=oracle._Tables(4))  # import and warm up
+        rows, _ = oracle.LAWS[law].cases(4, oracle._Tables(4))
+        assert max(len(got) + len(want) for _, got, want in rows) <= 2 * 81 ** 2
         tracemalloc.start()
         try:
             report = oracle.check_law(law, 4)
@@ -506,7 +514,7 @@ class TestTables:
         finally:
             tracemalloc.stop()
         assert report.verdict == oracle.HOLDS and report.checked * 8 > 2 << 20
-        assert peak < 1 << 20
+        assert peak < 1 << 19
 
     @pytest.mark.parametrize("op, built", [("odot", 3 ** 3 + 1), ("oplus", 4 ** 3 + 1)])
     def test_fold_law_builds_one_row_per_fold_and_accumulator(self, op, built):
@@ -514,9 +522,10 @@ class TestTables:
         # share a fold and an accumulator share one row: the empty prefix's, and one per
         # odot accumulator (each names a set) or oplus accumulator (any two masks)
         rows, _ = oracle.LAWS[f"fold-agreement-{op}"].cases(3, oracle._Tables(3))
-        rows = [row for _, row in rows]
+        rows = [(got, want) for _, got, want in rows]
         assert len(rows) == 1 + 27 + 27 ** 2
-        assert len({id(row) for row in rows}) == built
+        assert len({id(got) for got, _ in rows}) == built
+        assert {want for _, want in rows} == {b"\1" * 27}  # each verdict against a 1
 
     @pytest.mark.parametrize("op", ["odot", "oplus"])
     def test_n_ary_forms_equal_the_left_fold(self, op):
@@ -554,6 +563,118 @@ class TestTables:
         assert not report.matches_expected
         assert report.violation_count == len(expected) > 0
         assert report.counterexamples == (" ".join(str(a) for a in expected[0]),)
+
+
+def _direct_pairs(n):
+    """The 3^n mask pairs (nec, adm) with nec ⊆ adm, sorted by adm, then nec."""
+    return sorted(((nec, adm) for adm in range(1 << n) for nec in range(1 << n)
+                   if not nec & ~adm), key=lambda p: (p[1], p[0]))
+
+
+def _within(x, y):
+    return not (x[0] & ~y[0] or x[1] & ~y[1])
+
+
+# each law decided as a kernel over byte rows, as (arity, holds): holds(op, A, B, C) reads
+# the binary mask operators op["odot"], op["oplus"], op["union"] and op["inter"]
+DIRECT_LAWS = {
+    "commutativity-odot": (2, lambda op, a, b: op["odot"](a, b) == op["odot"](b, a)),
+    "commutativity-oplus": (2, lambda op, a, b: op["oplus"](a, b) == op["oplus"](b, a)),
+    "absorption-oplus-odot": (2, lambda op, a, b: op["oplus"](a, op["odot"](a, b)) == a),
+    "absorption-odot-oplus": (2, lambda op, a, b: op["odot"](a, op["oplus"](a, b)) == a),
+    "associativity-odot": (3, lambda op, a, b, c: (
+        op["odot"](op["odot"](a, b), c) == op["odot"](a, op["odot"](b, c)))),
+    "associativity-oplus": (3, lambda op, a, b, c: (
+        op["oplus"](op["oplus"](a, b), c) == op["oplus"](a, op["oplus"](b, c)))),
+    "distributivity-oplus-over-odot": (3, lambda op, a, b, c: (
+        op["oplus"](a, op["odot"](b, c)) == op["odot"](op["oplus"](a, b), op["oplus"](a, c)))),
+    "distributivity-odot-over-oplus": (3, lambda op, a, b, c: (
+        op["odot"](a, op["oplus"](b, c)) == op["oplus"](op["odot"](a, b), op["odot"](a, c)))),
+    "bounds-upper": (3, lambda op, a1, a2, b: not (_within(a1, b) and _within(a2, b)) or (
+        _within(op["odot"](a1, a2), op["union"](a1, a2)) and _within(op["union"](a1, a2), b))),
+    "bounds-lower": (3, lambda op, a1, a2, b: not (_within(b, a1) and _within(b, a2)) or (
+        _within(op["inter"](a1, a2), op["oplus"](a1, a2)) and _within(b, op["inter"](a1, a2)))),
+}
+
+
+def mask_operators(**wrong):
+    """core's binary mask operators on mask pairs, each entry of ``wrong`` replacing one."""
+    ops = {name: lambda x, y, _f=getattr(core, f"{name}_masks"): _f(*x, *y)
+           for name in ("odot", "oplus", "union", "inter")}
+    return {**ops, **wrong}
+
+
+def decide_directly(law, n, op, limit=5):
+    """(checked, violation count, the first ``limit`` counterexamples) of ``law`` at size n,
+    every tuple decided from the mask operators ``op``, in the sweep's order."""
+    arity, holds = DIRECT_LAWS[law]
+    fmt = ns.make_universe(list("abcde"[:n])).format_masks
+    checked, wrong = 0, []
+    for sets in product(_direct_pairs(n), repeat=arity):
+        checked += 1
+        if not holds(op, *sets):
+            wrong.append(" ".join(f"{name}={fmt(*x)}" for name, x in zip("ABC", sets)))
+    return checked, len(wrong), tuple(wrong[:limit])
+
+
+class TestByteRows:
+    """The laws decided as whole-row kernels over the tables' byte forms, against each
+    tuple decided straight from core's mask operators."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("law", sorted(DIRECT_LAWS))
+    def test_kernel_agrees_with_each_tuple_decided_directly(self, law, n):
+        report = oracle.check_law(law, n)
+        assert (report.checked, report.violation_count, report.counterexamples) == (
+            decide_directly(law, n, mask_operators()))
+
+    @pytest.mark.parametrize("law, name, at, value", [
+        ("distributivity-oplus-over-odot", "odot", (A, B), U),
+        ("distributivity-oplus-over-odot", "oplus", (B, U), A),
+        ("distributivity-odot-over-oplus", "oplus", (A, B), U),
+        ("distributivity-odot-over-oplus", "odot", (U, E), B),
+        ("absorption-odot-oplus", "oplus", (A, B), U),
+        ("absorption-odot-oplus", "odot", (U, U), E),
+    ])
+    def test_one_wrong_entry_changes_a_refuted_law_as_decided_directly(self, law, name, at,
+                                                                       value):
+        # a refuted law already has violations: one wrong table entry must add or remove
+        # exactly the tuples that the same wrong operator changes when decided directly
+        t = oracle._Tables(2)
+        table = [list(row) for row in getattr(t, name)]
+        table[t._number[at[0]]][t._number[at[1]]] = t._number[value]
+        setattr(t, name, table)
+        report = oracle.check_law(law, 2, tables=t)
+        right = mask_operators()
+        wrong = mask_operators(**{name: lambda x, y: value if (x, y) == at else right[name](x, y)})
+        expected = decide_directly(law, 2, wrong)
+        assert (report.checked, report.violation_count, report.counterexamples) == expected
+        assert expected[1] != decide_directly(law, 2, right)[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_byte_table_decodes_to_its_list_table(self, n):
+        t = oracle._Tables(n)
+        s = len(t.pairs)
+        for name in ("odot", "oplus", "le", "ge"):
+            rows, translate, flat = getattr(t, f"{name}_bytes")
+            assert [list(row) for row in rows] == getattr(t, name)
+            assert flat == b"".join(rows) and len(flat) == s * s
+            assert all(len(tr) == 256 and tr[:s] == row and not any(tr[s:])
+                       for row, tr in zip(rows, translate))
+
+    def test_size_five_matches_the_recorded_report(self):
+        # the laws decided on whole rows, and the fold laws, at the widest size: the
+        # counts and counterexamples that CI also checks through the command line
+        golden = json.loads(GOLDEN_SIZE5.read_text(encoding="utf-8"))["doc"]["laws"]
+        laws = sorted(DIRECT_LAWS) + ["fold-agreement-odot", "fold-agreement-oplus"]
+        t = oracle._Tables(5)
+        for entry in golden:
+            if entry["law"] in laws:
+                doc = json.loads(cli._law_object(oracle.check_law(entry["law"], 5, tables=t)))
+                del doc["elapsed"]
+                assert doc == entry, entry["law"]
+                laws.remove(entry["law"])
+        assert laws == []
 
 
 class TestFixtures:

@@ -12,7 +12,7 @@ from itertools import chain, compress, count
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import NegotiationSet, Record, Universe, _from_masks, _same, iter_bits, odot
+from .core import NegotiationSet, Record, Universe, _from_masks, _same, items_at, iter_bits, odot
 from .errors import (
     DominanceNotStrictOrder,
     InputNotDisc,
@@ -101,12 +101,12 @@ def _build_spec(universe: Universe, strong_pairs: Iterable[tuple[int, int]],
     # broken order is searched for one
     for i in compress(count(), beats):
         row = beats[i]
-        if reduce(or_, map(beats.__getitem__, iter_bits(row))) & ~row:
+        if reduce(or_, items_at(beats, row)) & ~row:
             for k, m in _edges(beats):
                 if beats[m] >> k & 1:
                     raise DominanceNotStrictOrder(
                         f"({objects[k]}, {objects[m]}) declared in both directions")
-            missing = next(m for j in iter_bits(row) if (m := beats[j] & ~row))
+            missing = next(m for b in items_at(beats, row) if (m := b & ~row))
             raise DominanceNotStrictOrder(
                 f"missing transitive pair ({objects[i]}, {objects[next(iter_bits(missing))]})")
     return ContradictionSpec(universe, tuple(strong), tuple(weak), tuple(beats))

@@ -33,6 +33,13 @@ def iter_bits(mask: int) -> Iterator[int]:
     return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
 
 
+def items_at(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of ``mask``, in index order, read as ``iter_bits`` reads them."""
+    if mask.bit_count() * 8 <= mask.bit_length():
+        return map(items.__getitem__, _sparse_bits(mask))
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
+
+
 def _sparse_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -132,12 +139,12 @@ class Universe(Record):
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(map(self.objects.__getitem__, iter_bits(mask)))
+        return tuple(items_at(self.objects, mask))
 
     def format_masks(self, nec: int, adm: int) -> str:
         """``[{a} {a b}]``: the text of the negotiation set with these masks."""
-        names = self.names_of
-        return f"[{{{' '.join(names(nec))}}} {{{' '.join(names(adm))}}}]"
+        objects = self.objects
+        return f"[{{{' '.join(items_at(objects, nec))}}} {{{' '.join(items_at(objects, adm))}}}]"
 
 
 def make_universe(names: Sequence[str]) -> Universe:

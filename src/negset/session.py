@@ -39,7 +39,7 @@ from .core import (
     Universe,
     _from_masks,
     _same,
-    iter_bits,
+    items_at,
     make_universe,
     negset_of,
 )
@@ -64,6 +64,7 @@ _MASK_OPS = {"odot": core.odot_masks, "oplus": core.oplus_masks, "union": core.u
 BINARY_OPS = tuple(_MASK_OPS)
 NARY_OPS = ("odot", "oplus", "union", "inter")
 KEYWORDS = {*_STATEMENTS, "not", *BINARY_OPS}
+_SHORT = 256  # print_expr writes a text shorter than this as one string
 
 
 class ParseError(NegsetError):
@@ -486,9 +487,10 @@ def format_negset(a: NegotiationSet) -> str:
 
 def print_expr(program: Program) -> str:
     """Canonical text of a program, built with one loop over a stack of
-    (text, text as an operand) entries, each a string or nested pieces, and
-    joined once.  Only an infix form is parenthesized as an operand, and only
-    as an operand of an infix form or of ``not``."""
+    (text, text as an operand) entries.  A text shorter than ``_SHORT`` is one
+    string; a longer one is nested pieces, joined once at the end, so no text
+    is copied more than a bounded number of times.  Only an infix form is
+    parenthesized as an operand, and only as an operand of an infix form or of ``not``."""
     stack: list = []
     for item in program:
         if item.__class__ is tuple:
@@ -498,17 +500,27 @@ def print_expr(program: Program) -> str:
                 pieces += (piece, ", ")
             pieces[-1] = ")"
             del stack[-k:]
+            if list not in map(type, pieces) and sum(map(len, pieces)) < _SHORT:
+                pieces = "".join(pieces)
             stack.append((pieces, pieces))
         elif item == "not":
-            pieces = ["not ", stack.pop()[1]]
-            stack.append((pieces, pieces))
+            operand = stack.pop()[1]
+            short = operand.__class__ is str and len(operand) < _SHORT
+            text = f"not {operand}" if short else ["not ", operand]
+            stack.append((text, text))
         elif item in BINARY_OPS:
             right, left = stack.pop()[1], stack.pop()[1]
-            pieces = [left, f" {item} ", right]
-            stack.append((pieces, ["(", pieces, ")"]))
+            if left.__class__ is right.__class__ is str and len(left) + len(right) < _SHORT:
+                text = f"{left} {item} {right}"
+                stack.append((text, f"({text})"))
+            else:
+                pieces = [left, f" {item} ", right]
+                stack.append((pieces, ["(", pieces, ")"]))
         else:
             stack.append((item, item))
-    out, todo = [], [stack[0][0]]  # the nested pieces, flattened in order
+    if (text := stack[0][0]).__class__ is str:
+        return text
+    out, todo = [], [text]  # the nested pieces, flattened in order
     while todo:
         piece = todo.pop()
         if piece.__class__ is str:
@@ -589,11 +601,12 @@ class SessionReport(Record):
         values, statements = cache(partial(json_masks, quoted)), []
         for r in self.results:
             value = "null" if r.value is None else values(r.value.nec, r.value.adm)
+            detail = _quote(r.detail) if r.detail else '""'
+            notes = json_array(map(_quote, r.notes), " " * 8) if r.notes else "[]"
             statements.append(
                 f'{{\n      "kind": {_quote(r.kind)},\n      "source": {_quote(r.source)},\n'
                 f'      "ok": {_JSON_BOOL[r.ok]},\n      "value": {value},\n'
-                f'      "detail": {_quote(r.detail)},\n'
-                f'      "notes": {json_array(map(_quote, r.notes), " " * 8)}\n    }}'
+                f'      "detail": {detail},\n      "notes": {notes}\n    }}'
             )
         return (
             f'{{\n  "universe": {json_array(quoted, "    ")},\n'
@@ -618,7 +631,7 @@ def json_masks(quoted: list[str], nec: int, adm: int) -> str:
     as name lists, laid out for a field of an array item; ``quoted`` holds the
     universe's object names, JSON-encoded, in index order."""
     def names(mask: int) -> str:
-        return json_array(map(quoted.__getitem__, iter_bits(mask)), " " * 10)
+        return json_array(items_at(quoted, mask), " " * 10)
 
     return (f'{{\n        "necessity": {names(nec)},\n'
             f'        "admissibility": {names(adm)}\n      }}')

@@ -3,11 +3,11 @@ import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import negset as ns
 from negset import SpecialKind, InclusionMode
-from negset.core import iter_bits
+from negset.core import items_at, iter_bits
 from negset.errors import (
     DuplicateName,
     EmptyFamily,
@@ -105,12 +105,21 @@ class TestUniverse:
 
 
 class TestIterBits:
+    NAMES = ns.make_universe([f"o{i}" for i in range(2000)]).objects
+    ITEMS = [object() for _ in range(2001)]
+
     @given(st.one_of(
         st.integers(0, 1 << 300),  # dense masks
         st.sets(st.integers(0, 2000), max_size=20).map(lambda bits: sum(1 << i for i in bits)),
     ))
+    @example(0)
+    @example((1 << 2000) - 1)
     def test_matches_bit_scan(self, mask):
         assert list(iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+        # items_at reads the mask as iter_bits does, picking items instead of indices
+        assert list(items_at(self.ITEMS, mask)) == [self.ITEMS[i] for i in iter_bits(mask)]
+        names = mask & (1 << 2000) - 1
+        assert list(items_at(self.NAMES, names)) == [self.NAMES[i] for i in iter_bits(names)]
 
 
 class TestConstruction:

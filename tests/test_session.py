@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import timeit
 import tracemalloc
 from pathlib import Path
 
@@ -834,16 +835,18 @@ class TestDeepChains:
 
 
 class TestDeepNesting:
-    """Nesting on the right, in the n-ary forms and under ``not`` parses,
-    evaluates and prints at any depth under the default recursion limit."""
+    """Nesting on the left, on the right, in the n-ary forms and under ``not``
+    parses, evaluates and prints at any depth under the default recursion
+    limit."""
 
     DEPTH = 100_000
 
     @pytest.mark.parametrize("expr,value", [
+        (" odot ".join("AB" * (DEPTH // 2)), "[{a} {a b c}]"),
         ("A odot (" * DEPTH + "B" + ")" * DEPTH, "[{a} {a b c}]"),
         ("odot(A, " * DEPTH + "B" + ")" * DEPTH, "[{a} {a b c}]"),
         ("not (" * DEPTH + "B" + ")" * DEPTH, "[{a c} {a c}]"),
-    ], ids=["right", "nary", "not-paren"])
+    ], ids=["left", "right", "nary", "not-paren"])
     def test_parses_evaluates_and_round_trips(self, expr, value):
         script = parse_session(
             f"universe a b c\nagent A = [{{a}} {{a b}}]\nagent B = [{{a c}} {{a c}}]\nlet S = {expr}\n"
@@ -852,6 +855,102 @@ class TestDeepNesting:
         assert report.all_ok
         assert str(report.results[0].value) == value
         assert parse_session(print_session(script)) == script
+
+    @pytest.mark.parametrize("shape", [
+        lambda d: ["A"] + ["B", "odot"] * (d - 1),
+        lambda d: ["A"] * d + ["B"] + ["odot"] * d,
+        lambda d: ["A"] * d + ["B"] + [("odot", 2)] * d,
+        lambda d: ["B"] + ["not"] * d,
+    ], ids=["left", "right", "nary", "not"])
+    def test_prints_in_linear_time(self, shape):
+        # 8 times the depth takes about 8-10 times as long; a printer that
+        # copied the whole text so far at each step took 40-90 times as long
+        def best(depth):
+            program = shape(depth)
+            return min(timeit.repeat(lambda: print_expr(program), number=1, repeat=3))
+
+        assert best(self.DEPTH) < 24 * best(self.DEPTH // 8)
+
+
+def pieces_print(program) -> str:
+    """``print_expr`` with every text kept as nested pieces and joined once at
+    the end: the reference for texts on either side of ``session._SHORT``."""
+    stack: list = []
+    for item in program:
+        if item.__class__ is tuple:
+            op, k = item
+            pieces = [f"{op}("]
+            for piece, _ in stack[-k:]:
+                pieces += (piece, ", ")
+            pieces[-1] = ")"
+            del stack[-k:]
+            stack.append((pieces, pieces))
+        elif item == "not":
+            pieces = ["not ", stack.pop()[1]]
+            stack.append((pieces, pieces))
+        elif item in session.BINARY_OPS:
+            right, left = stack.pop()[1], stack.pop()[1]
+            pieces = [left, f" {item} ", right]
+            stack.append((pieces, ["(", pieces, ")"]))
+        else:
+            stack.append((item, item))
+    out, todo = [], [stack[0][0]]
+    while todo:
+        piece = todo.pop()
+        if piece.__class__ is str:
+            out.append(piece)
+        else:
+            todo += reversed(piece)
+    return "".join(out)
+
+
+class TestShortBound:
+    """``print_expr`` writes a text shorter than ``session._SHORT`` as one
+    string and a longer one as pieces; texts that cross the bound partway,
+    and names on either side of it, print as the pieces-only printer prints
+    them and parse back to their program."""
+
+    NAMES = ("A", "Bb", "C" * 40, "D" * (session._SHORT - 1), "E" * session._SHORT, "F" * 300)
+    AGENTS = "".join(f"agent {name} = [{{a}} {{a b}}]\n" for name in NAMES)
+
+    def round_trips(self, program):
+        text = print_expr(program)
+        assert text == pieces_print(program)
+        (stmt,) = parse_session(f"universe a b\n{self.AGENTS}eval {text}\n").statements
+        assert stmt.expr == tuple(program)
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("terms", [2, 7, 40, 120])
+    def test_chains(self, name, terms):
+        other = self.NAMES[0]
+        left = [name] + [other, "odot"] * (terms - 1)
+        right = [name] * terms + ["oplus"] * (terms - 1)
+        nots = [name] + ["not"] * terms
+        nary = [name] + [other, ("union", 2)] * (terms - 1)
+        wide = [name] * terms + [("inter", terms)]
+        mixed = [name] + [other, "not", "minus", name, ("odot", 2)] * terms
+        for program in (left, right, nots, nary, wide, mixed):
+            self.round_trips(program)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9)), max_size=120))
+    def test_random_programs(self, steps):
+        program, depth = [], 0
+        for step, pick in steps:
+            if step == 0 or depth == 0:
+                program.append(self.NAMES[pick % len(self.NAMES)])
+                depth += 1
+            elif step == 1:
+                program.append("not")
+            elif step == 2 and depth >= 2:
+                program.append(session.BINARY_OPS[pick % len(session.BINARY_OPS)])
+                depth -= 1
+            else:
+                k = 1 + pick % min(depth, 4)
+                program.append((session.NARY_OPS[pick % len(session.NARY_OPS)], k))
+                depth -= k - 1
+        program += ["odot"] * (depth - 1)
+        if program:
+            self.round_trips(program)
 
 
 # --- the one-edit neighbourhood of the corpus, decided ---
